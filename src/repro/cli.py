@@ -485,6 +485,7 @@ def cmd_study(
     import signal
     import threading
 
+    from repro.runtime.checkpoint import CheckpointMismatchError
     from repro.runtime.executor import StudyInterrupted
 
     # Graceful shutdown: SIGTERM/SIGINT set the stop event instead of
@@ -571,6 +572,10 @@ def cmd_study(
         finally:
             if panel is not None:
                 panel.stop()
+    except CheckpointMismatchError as exc:
+        # --resume named another study's checkpoint; nothing ran.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)

@@ -747,14 +747,6 @@ class TestSuite:
         self.world.internet.clock_ms = 0.0
         reset_txids()
         self.world.client.reset_ephemeral_ports()
-        engine = self.world.internet.engine
-        if engine is not None:
-            # Flow plans and firewall verdicts are identity-keyed and pin
-            # their key objects; resetting per unit bounds those pin sets
-            # and keeps every unit's engine state a pure function of the
-            # unit (plans are recompiled from the same world state, so
-            # delivery bytes are unaffected).
-            engine.begin_unit()
         if self.obs is not None:
             self.obs.begin_unit(unit)
         provider = self.world.provider(unit.provider)

@@ -92,22 +92,15 @@ class FirewallRule:
 class Firewall:
     """An ordered rule list with first-match evaluation."""
 
-    # Rule-set mutation counter (class attribute so firewalls pickled
-    # before it existed restore cleanly).  The delivery engine keys its
-    # memoised verdicts on it, so any rule change invalidates them.
-    _generation = 0
-
     def __init__(self, default: FirewallAction = FirewallAction.ALLOW) -> None:
         self.default = default
         self._rules: list[FirewallRule] = []
 
     def add(self, rule: FirewallRule) -> None:
         self._rules.append(rule)
-        self._generation += 1
 
     def insert(self, index: int, rule: FirewallRule) -> None:
         self._rules.insert(index, rule)
-        self._generation += 1
 
     def allow(self, *, dst: str | Network | None = None, **kwargs: object) -> FirewallRule:
         return self._add_shorthand(FirewallAction.ALLOW, dst, **kwargs)
@@ -130,12 +123,10 @@ class Firewall:
     def remove_by_comment(self, comment: str) -> int:
         before = len(self._rules)
         self._rules = [r for r in self._rules if r.comment != comment]
-        self._generation += 1
         return before - len(self._rules)
 
     def clear(self) -> None:
         self._rules.clear()
-        self._generation += 1
 
     def rules(self) -> list[FirewallRule]:
         return list(self._rules)

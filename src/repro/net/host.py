@@ -55,12 +55,6 @@ class Socket:
 class Host:
     """A simulated machine attached to the internet."""
 
-    # Configuration mutation counter (class attribute so hosts pickled
-    # before it existed restore cleanly).  Bumped when interfaces or
-    # service bindings change; the delivery engine stamps compiled flow
-    # plans with it.
-    _config_gen = 0
-
     def __init__(
         self,
         name: str,
@@ -93,7 +87,6 @@ class Host:
         if interface.name in self.interfaces:
             raise ValueError(f"duplicate interface {interface.name!r}")
         self.interfaces[interface.name] = interface
-        self._config_gen += 1
         return interface
 
     def remove_interface(self, name: str) -> None:
@@ -101,7 +94,6 @@ class Host:
         # Drop the whole memo: a detached interface may still carry the
         # address, so hit-validation alone would not notice the removal.
         self._iface_by_addr.clear()
-        self._config_gen += 1
         self.routing.remove_where(interface=name)
 
     def interface_for_address(self, address: Address) -> Optional[Interface]:
@@ -145,12 +137,10 @@ class Host:
             raise ValueError(f"{protocol}/{port} already bound on {self.name}")
         self._services[key] = handler
         self._ports_in_use.add(key)
-        self._config_gen += 1
 
     def unbind(self, protocol: str, port: int) -> None:
         self._services.pop((protocol, port), None)
         self._ports_in_use.discard((protocol, port))
-        self._config_gen += 1
 
     def open_socket(self, protocol: str) -> Socket:
         while True:
@@ -185,127 +175,113 @@ class Host:
         Returns the :class:`DeliveryResult`, which carries the fate of the
         packet, the RTT, and any response packets the remote service issued.
         """
-        if self.internet is None:
+        from repro.net.internet import DeliveryResult  # circular at import time
+
+        internet = self.internet
+        if internet is None:
             raise RuntimeError(f"host {self.name} is not attached to an internet")
 
-        # Compiled flow plan fast path: the engine executes the whole
-        # delivery chain (byte-identically) when it has a valid plan for
-        # this flow, and returns None to route everything else — first
-        # packets, rare fates, reconfigured hosts — through the legacy
-        # code below, which remains the source of truth.
-        engine = self.internet.engine
-        if engine is not None:
-            result = engine.send(self, packet)
-            if result is not None:
-                return result
-
-        obs = self.internet.obs
-        if obs is None:
-            return self._send_legacy(packet, None)
-        profile = obs.profile
-        stages = obs.stages
-        if profile is None and stages is None:
-            return self._send_legacy(packet, obs)
-        if profile is not None:
-            profile.enter("delivery")
-        if stages is not None:
-            # Top-level send boundary: the stage profiler decides here
-            # whether this (whole, nested) send tree is wall-clock
-            # sampled; the `send` frame itself soaks up orchestration
-            # residue so stage totals sum to the delivery phase.
-            stages.begin_send()
+        obs = internet.obs
+        profile = stages = None
+        if obs is not None:
+            profile = obs.profile
+            stages = obs.stages
+            if profile is not None:
+                profile.enter("delivery")
+            if stages is not None:
+                # Send boundary: at depth 0 the stage profiler decides here
+                # whether this (whole, nested) send tree is wall-clock
+                # sampled; the `send` frame itself soaks up orchestration
+                # residue so stage totals sum to the delivery phase.
+                stages.begin_send()
         try:
-            return self._send_legacy(packet, obs)
+            # Packets that die before reaching the wire are invisible to
+            # `Internet.deliver`; record their fate here.
+            if stages is not None:
+                stages.enter("route")
+            route = self.routing.lookup(packet.dst)
+            if stages is not None:
+                stages.leave()
+            if route is None:
+                if obs is not None:
+                    obs.packet_event(self.name, packet, "no_route")
+                return DeliveryResult.no_route(packet)
+            interface = self.interfaces.get(route.interface)
+            if interface is None or not interface.up:
+                if obs is not None:
+                    obs.packet_event(
+                        self.name, packet, "interface_down", route.interface
+                    )
+                return DeliveryResult.interface_down(packet, route.interface)
+
+            # An empty allow-all firewall (the overwhelmingly common case)
+            # is decided inline without the `permits` call.
+            firewall = self.firewall
+            firewall_active = (
+                firewall._rules or firewall.default is not FirewallAction.ALLOW
+            )
+            if firewall_active:
+                if stages is not None:
+                    stages.enter("firewall")
+                permitted = firewall.permits(packet, "out", interface.name)
+                if stages is not None:
+                    stages.leave()
+                if not permitted:
+                    if obs is not None:
+                        obs.packet_event(
+                            self.name, packet, "filtered", "egress firewall"
+                        )
+                    return DeliveryResult.filtered(packet, "egress firewall")
+
+            capture = interface.capture
+            if capture.enabled:
+                if stages is not None:
+                    stages.enter("capture")
+                capture.entries.append(
+                    CaptureEntry(
+                        internet.clock_ms, "tx", capture.interface, packet
+                    )
+                )
+                if stages is not None:
+                    stages.leave()
+            if interface.is_tunnel and interface.endpoint is not None:
+                # VPN tunnel: the endpoint encapsulates and re-sends via the
+                # physical interface (and may fail open/closed on tunnel
+                # loss).
+                result = interface.endpoint.transmit(packet)  # type: ignore[attr-defined]
+            else:
+                result = internet.deliver(packet, self)
+            responses = result.responses
+            if responses:
+                clock_ms = internet.clock_ms
+                record_rx = capture.enabled
+                for response in responses:
+                    if firewall_active:
+                        if stages is not None:
+                            stages.enter("firewall")
+                        permitted = firewall.permits(
+                            response, "in", interface.name
+                        )
+                        if stages is not None:
+                            stages.leave()
+                        if not permitted:
+                            continue
+                    if record_rx:
+                        if stages is not None:
+                            stages.enter("capture")
+                        capture.entries.append(
+                            CaptureEntry(
+                                clock_ms, "rx", capture.interface, response
+                            )
+                        )
+                        if stages is not None:
+                            stages.leave()
+            return result
         finally:
             if stages is not None:
                 stages.end_send()
             if profile is not None:
                 profile.leave()
-
-    def _send_legacy(self, packet: Packet, obs) -> "DeliveryResult":
-        from repro.net.internet import DeliveryResult  # circular at import time
-
-        stages = obs.stages if obs is not None else None
-        # Packets that die before reaching the wire are invisible to
-        # `Internet.deliver`; record their fate here.
-        if stages is not None:
-            stages.enter("route")
-        route = self.routing.lookup(packet.dst)
-        if stages is not None:
-            stages.leave()
-        if route is None:
-            if obs is not None:
-                obs.packet_event(self.name, packet, "no_route")
-            return DeliveryResult.no_route(packet)
-        interface = self.interfaces.get(route.interface)
-        if interface is None or not interface.up:
-            if obs is not None:
-                obs.packet_event(
-                    self.name, packet, "interface_down", route.interface
-                )
-            return DeliveryResult.interface_down(packet, route.interface)
-
-        # An empty allow-all firewall (the overwhelmingly common case) is
-        # decided inline without the `permits` call.
-        firewall = self.firewall
-        firewall_active = (
-            firewall._rules or firewall.default is not FirewallAction.ALLOW
-        )
-        if firewall_active:
-            if stages is not None:
-                stages.enter("firewall")
-            permitted = firewall.permits(packet, "out", interface.name)
-            if stages is not None:
-                stages.leave()
-            if not permitted:
-                if obs is not None:
-                    obs.packet_event(
-                        self.name, packet, "filtered", "egress firewall"
-                    )
-                return DeliveryResult.filtered(packet, "egress firewall")
-
-        internet = self.internet
-        capture = interface.capture
-        if capture.enabled:
-            if stages is not None:
-                stages.enter("capture")
-            capture.entries.append(
-                CaptureEntry(internet.clock_ms, "tx", capture.interface, packet)
-            )
-            if stages is not None:
-                stages.leave()
-        if interface.is_tunnel and interface.endpoint is not None:
-            # VPN tunnel: the endpoint encapsulates and re-sends via the
-            # physical interface (and may fail open/closed on tunnel loss).
-            result = interface.endpoint.transmit(packet)  # type: ignore[attr-defined]
-        else:
-            result = internet.deliver(packet, self)
-        responses = result.responses
-        if responses:
-            clock_ms = internet.clock_ms
-            record_rx = capture.enabled
-            for response in responses:
-                if firewall_active:
-                    if stages is not None:
-                        stages.enter("firewall")
-                    permitted = firewall.permits(
-                        response, "in", interface.name
-                    )
-                    if stages is not None:
-                        stages.leave()
-                    if not permitted:
-                        continue
-                if record_rx:
-                    if stages is not None:
-                        stages.enter("capture")
-                    capture.entries.append(
-                        CaptureEntry(
-                            clock_ms, "rx", capture.interface, response
-                        )
-                    )
-                    if stages is not None:
-                        stages.leave()
-        return result
 
     # ------------------------------------------------------------------
     # Receiving (called by the Internet)

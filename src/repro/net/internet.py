@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.net.addresses import Address, IPv4Address, parse_address
-from repro.net.engine import DeliveryEngine, engine_enabled
 from repro.net.geo import GeoPoint
 from repro.net.host import Host
 from repro.net.latency import DEFAULT_LATENCY_MODEL, LatencyModel
@@ -89,11 +88,6 @@ class DeliveryResult:
 class Internet:
     """The global simulated topology."""
 
-    # Topology mutation counter (class attribute so worlds pickled before
-    # it existed restore cleanly).  Bumped whenever the address registry
-    # changes; the delivery engine stamps compiled flow plans with it.
-    _topology_gen = 0
-
     def __init__(self, latency_model: LatencyModel | None = None) -> None:
         self.latency = latency_model or DEFAULT_LATENCY_MODEL
         self.clock_ms: float = 0.0
@@ -124,12 +118,6 @@ class Internet:
         self._probe_cache: dict[
             tuple[Address, Address, int, int], Packet
         ] = {}
-        # The discrete-event delivery engine (repro.net.engine), or None
-        # when disabled via REPRO_DELIVERY_ENGINE.  Owns the flow-plan
-        # caches and the time-ordered event queue; never pickled.
-        self.engine: DeliveryEngine | None = (
-            DeliveryEngine(self) if engine_enabled() else None
-        )
 
     # Drop the derived memos from pickled worlds; they are rebuilt on
     # demand and only bloat the snapshot blob.
@@ -139,7 +127,6 @@ class Internet:
         state.pop("_probe_cache", None)
         state.pop("_dst_memo", None)
         state.pop("obs", None)
-        state.pop("engine", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -148,7 +135,6 @@ class Internet:
         self._probe_cache = {}
         self._dst_memo = {}
         self.obs = None
-        self.engine = DeliveryEngine(self) if engine_enabled() else None
 
     # ------------------------------------------------------------------
     # Topology management
@@ -171,12 +157,10 @@ class Internet:
             )
         self._hosts_by_address[address] = host
         self._dst_memo.clear()
-        self._topology_gen += 1
 
     def release_address(self, address: Address) -> None:
         self._hosts_by_address.pop(address, None)
         self._dst_memo.clear()
-        self._topology_gen += 1
 
     def host_for(self, address: str | Address) -> Optional[Host]:
         if isinstance(address, str):
@@ -346,48 +330,15 @@ class Internet:
         src_addr = _source_address_for(source, target)
         if src_addr is None:
             return [PingResult(target=target, rtt_ms=None)] * count
-        engine = self.engine
-        if engine is None:
-            for sequence in range(count):
-                probe = self._probe(src_addr, target, 1, sequence)
-                # RTT is measured on the simulation clock so that multi-leg
-                # paths (e.g. through a VPN tunnel) accumulate correctly.
-                # The delta is rounded to nanoseconds: subtraction near a
-                # large accumulated clock value leaves ~1e-9 ms of float
-                # noise that would otherwise vary with how much the world
-                # ran beforehand.
-                started = self.clock_ms
-                outcome = source.send(probe)
-                elapsed = round(self.clock_ms - started, 6)
-                got_reply = outcome.ok and any(
-                    isinstance(r.payload, IcmpPayload)
-                    and r.payload.icmp_type == "echo_reply"
-                    for r in outcome.responses
-                )
-                results.append(
-                    PingResult(
-                        target=target, rtt_ms=elapsed if got_reply else None
-                    )
-                )
-            return results
-        # Batched dispatch through the engine's event queue: the whole
-        # probe train is scheduled at the current virtual time, then the
-        # queue is drained in (time, sequence) order.  Equal timestamps
-        # pop in insertion order — the queue's determinism guarantee —
-        # so the result vector is byte-identical to the sequential loop
-        # above, while each pop runs the compiled flow plan.  Each probe
-        # still observes the clock advanced by its predecessors (probes
-        # are serialised on one wire), exactly as before.
-        queue = engine.queue
         for sequence in range(count):
-            queue.push(
-                self.clock_ms, source, self._probe(src_addr, target, 1, sequence)
-            )
-        for _ in range(count):
-            event = queue.pop()
+            probe = self._probe(src_addr, target, 1, sequence)
+            # RTT is measured on the simulation clock so that multi-leg
+            # paths (e.g. through a VPN tunnel) accumulate correctly.  The
+            # delta is rounded to nanoseconds: subtraction near a large
+            # accumulated clock value leaves ~1e-9 ms of float noise that
+            # would otherwise vary with how much the world ran beforehand.
             started = self.clock_ms
-            outcome = event.host.send(event.packet)
-            event.result = outcome
+            outcome = source.send(probe)
             elapsed = round(self.clock_ms - started, 6)
             got_reply = outcome.ok and any(
                 isinstance(r.payload, IcmpPayload)

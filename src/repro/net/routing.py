@@ -6,10 +6,9 @@ The VPN client reroutes traffic by installing/removing routes exactly the way
 real clients manipulate the OS routing table, so the metadata test (paper
 Section 5.3.4) can snapshot it, and the leakage tests observe its effects.
 
-When the stage profiler is on (``ObsConfig(stage_profile=True)``), lookup
-time on the legacy send path is attributed to the ``route`` stage; the
-delivery engine's ``route`` stage additionally covers plan compilation,
-which embeds the result of this table's lookups (see ``repro.obs.stages``).
+When the stage profiler is on (``ObsConfig(stage_profile=True)``),
+``Host.send`` attributes lookup time to the ``route`` stage (see
+``repro.obs.stages``).
 """
 
 from __future__ import annotations

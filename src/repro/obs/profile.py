@@ -1,11 +1,10 @@
 """Phase-level wall-clock attribution.
 
-ROADMAP item 1 ended with a finding, not a speedup: after the delivery
-engine landed at parity, the remaining study wall-clock hides in the
-*application emulation* layers — browser/DOM, TLS, DNS — not in packet
-delivery.  Chasing that requires attribution the cProfile top-N cannot
-give: per-unit, per-phase exclusive time that survives the executor's
-snapshot-merging so ``workers=8`` reports the same shape as ``workers=1``.
+A cumulative cProfile top-N cannot say which layer owns study
+wall-clock: packet delivery, or the *application emulation* layers
+(browser/DOM, TLS, DNS) above it.  That takes per-unit, per-phase
+exclusive time that survives the executor's snapshot-merging so
+``workers=8`` reports the same shape as ``workers=1``.
 
 :class:`PhaseProfiler` is that instrument.  Hook sites bracket the five
 coarse phases (``dns``, ``browser``, ``tls``, ``delivery``, ``analysis``)

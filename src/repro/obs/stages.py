@@ -12,36 +12,31 @@ Stage taxonomy (``STANDARD_STAGES``, display order):
 
 ``send``
     The per-send orchestration residue: everything inside ``Host.send``
-    / ``DeliveryEngine.send`` not billed to a finer stage (result
-    assembly, guard checks, plan-shape branching).  Because the frame
-    opens at the top of every send, the stage totals sum to ~100% of the
-    delivery phase by construction.
+    not billed to a finer stage (result assembly, guard checks).
+    Because the frame opens at the top of every send, the stage totals
+    sum to ~100% of the delivery phase by construction.
 ``route``
-    Routing-table lookups (``RoutingTable.lookup``) and, on the engine
-    path, the whole plan fetch/validate/compile region — bracketed as
-    one frame per send so its *count* never depends on plan-cache
-    warmth, which is scheduling-dependent.
+    Routing-table lookups (``RoutingTable.lookup``).
 ``firewall``
-    Rule evaluation (``Firewall.permits`` / the engine's verdict memo),
-    only counted when the firewall is active — the inactive fast path
-    stays a plain boolean check.
+    Rule evaluation (``Firewall.permits``), only counted when the
+    firewall is active — the inactive fast path stays a plain boolean
+    check.
 ``capture``
     Capture-entry construction and append on tx/rx interfaces.
 ``latency``
     Jitter-sample derivation, RTT computation and simulation-clock
-    advancement in ``Internet.deliver`` and its engine inlines.
+    advancement in ``Internet.deliver``.
 ``dispatch``
-    The receive side: ``Host.receive`` / the engine's ``_dispatch`` —
-    service handlers, echo replies, response tx recording.
+    The receive side: ``Host.receive`` — service handlers, echo
+    replies, response tx recording.
 ``encap``
-    Tunnel encapsulation/decapsulation (``TunnelEndpoint`` and the
-    engine's tunnel inlines).
+    Tunnel encapsulation/decapsulation (``TunnelEndpoint``).
 
 Determinism contract (the same one phases obey, tightened for
 sampling): stage **call counts are exact and deterministic** — every
-``enter`` bumps the counter, on every backend, engine on or off held
-fixed.  Wall-clock is only measured for a deterministic 1-in-N sample
-of *top-level sends*: :meth:`StageProfiler.begin_send` decides timing
+``enter`` bumps the counter, identically on every backend.
+Wall-clock is only measured for a deterministic 1-in-N sample of
+*top-level sends*: :meth:`StageProfiler.begin_send` decides timing
 from the per-unit send ordinal and the seed (``sends % sample_every ==
 seed % sample_every``), and the decision holds for the whole nested
 send tree, so timed enters and leaves always pair up and the sampled
@@ -57,13 +52,6 @@ rides :class:`~repro.runtime.events.UnitMetrics` through commutative
 snapshot merging exactly like phases do.  The table renderer scales the
 sampled wall-clock back up (``est_ms = wall_ms * calls / sampled``) for
 the ``repro study --profile-stages`` view.
-
-Note: engine-on and engine-off runs legitimately report *different*
-stage counts (the engine collapses work the legacy path performs; the
-legacy path brackets work the engine never does).  What is pinned is
-that for a fixed engine setting the counts are identical across
-sequential/thread/process backends — the same property
-``phase.calls.delivery`` already pins.
 """
 
 from __future__ import annotations

@@ -185,14 +185,10 @@ def _timed_run_unit(
     try:
         results = suite.run_unit(unit)
     except BaseException:
-        # Discard the partial unit's obs buffers (and the delivery
-        # engine's identity-keyed plan caches) so a retry (or the next
+        # Discard the partial unit's obs buffers so a retry (or the next
         # unit on this worker) starts from clean per-unit state.
         if suite.obs is not None:
             suite.obs.drain_unit()
-        engine = suite.world.internet.engine
-        if engine is not None:
-            engine.begin_unit()
         raise
     wall_ms = (time.perf_counter() - started) * 1000.0
     obs_payload = suite.obs.drain_unit() if suite.obs is not None else None

@@ -34,14 +34,6 @@ if TYPE_CHECKING:
 class VantagePointServer:
     """Tunnel terminator + egress pipeline for one vantage point."""
 
-    # Contract marker for the delivery engine (repro.net.engine): this
-    # class promises that `handle_tunnel` has exactly the decapsulate /
-    # in-tunnel-DNS / NAT / behaviour-chain / forward / re-encapsulate
-    # structure the engine inlines.  Subclasses that change that
-    # structure must clear this flag so their flows take the legacy
-    # dispatch path.
-    engine_tunnel_contract = True
-
     def __init__(
         self,
         host: "Host",

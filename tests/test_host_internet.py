@@ -1,5 +1,8 @@
 """Integration tests for hosts and the internet fabric."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.net.addresses import parse_address
@@ -179,3 +182,80 @@ class TestSockets:
         assert snap["dns_servers"] == ["8.8.8.8"]
         assert snap["interfaces"][0]["name"] == "eth0"
         assert any("0.0.0.0/0" in r for r in snap["routes"])
+
+
+# ----------------------------------------------------------------------
+# Configuration changes on a live world
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def world():
+    from repro.world import World
+
+    return World.build(provider_names=["Mullvad"])
+
+
+def _rtt(world, target):
+    (result,) = world.internet.ping(world.client, target, count=1)
+    return result.rtt_ms
+
+
+class TestLiveReconfiguration:
+    def test_firewall_change_honoured_on_next_ping(self, world):
+        anchor = world.anchors[0]
+        assert _rtt(world, anchor.address) is not None
+        world.client.firewall.drop(
+            dst=f"{anchor.address}/32", comment="test-block"
+        )
+        assert _rtt(world, anchor.address) is None
+        world.client.firewall.remove_by_comment("test-block")
+        assert _rtt(world, anchor.address) is not None
+
+    def test_route_change_honoured_on_next_ping(self, world):
+        anchor = world.anchors[0]
+        assert _rtt(world, anchor.address) is not None
+        world.client.routing.add_prefix(
+            f"{anchor.address}/32", "nonexistent0", metric=0
+        )
+        assert _rtt(world, anchor.address) is None
+        world.client.routing.remove_where(interface="nonexistent0")
+        assert _rtt(world, anchor.address) is not None
+
+    def test_reconnect_same_vantage_point_reproduces_rtt(self, world):
+        from repro.vpn.client import ConnectionState, VpnClient
+
+        provider = world.provider("Mullvad")
+        vantage_point = provider.vantage_points[0]
+        client = VpnClient(world.client, provider)
+        anchor = world.anchors[0].address
+
+        client.connect(vantage_point)
+        try:
+            tunnelled = _rtt(world, anchor)
+            assert tunnelled is not None
+            client.disconnect()
+            client.connect(vantage_point)
+            assert _rtt(world, anchor) == tunnelled
+        finally:
+            if client.state is ConnectionState.CONNECTED:
+                client.disconnect()
+
+    def test_disconnected_tunnel_capture_is_released(self, world):
+        """Nothing the delivery path keeps may pin a removed interface.
+
+        After a disconnect the host drops its ``utun`` interface; once
+        the caller lets go of it too, its capture (and every packet it
+        logged) must be collectable.
+        """
+        from repro.vpn.client import VpnClient
+
+        provider = world.provider("Mullvad")
+        client = VpnClient(world.client, provider)
+        client.connect(provider.vantage_points[0])
+        assert _rtt(world, world.anchors[0].address) is not None
+        utun = world.client.interfaces[client.tunnel_interface_name]
+        assert len(utun.capture) > 0
+        capture = weakref.ref(utun.capture)
+        client.disconnect()
+        del utun
+        gc.collect()
+        assert capture() is None

@@ -66,23 +66,6 @@ class TestTraceDeterminism:
             runs["threads"].trace_records
         )
 
-    def test_trace_bytes_unchanged_by_engine_toggle(self, runs, monkeypatch):
-        """Engine-off and engine-on runs emit byte-identical traces.
-
-        The delivery engine inlines the legacy call chain but must fire
-        the same obs events at the same simulation-clock values; a trace
-        is the finest-grained observable we have, so byte equality here
-        (on top of the archive fingerprint in test_determinism.py) pins
-        the engine's whole observable surface.
-        """
-        from repro.net.engine import ENGINE_ENV
-
-        monkeypatch.setenv(ENGINE_ENV, "off")
-        legacy = _run_study(1, "thread")
-        assert _serialize(legacy.trace_records) == _serialize(
-            runs["sequential"].trace_records
-        )
-
     def test_span_tree_shape(self, runs):
         records = runs["sequential"].trace_records
         by_kind = {}

@@ -228,6 +228,32 @@ class TestCheckpointPrune:
         assert main(["checkpoint", "prune", str(tmp_path / "gone")]) == 2
 
 
+class TestResumeMismatchCli:
+    def test_foreign_checkpoint_is_one_error_line(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.runtime.checkpoint import CheckpointStore
+        from repro.runtime.units import StudyPlan
+
+        foreign = StudyPlan(seed=1, max_vantage_points=2, providers=["P"])
+        checkpoint = tmp_path / "ckpt"
+        CheckpointStore(checkpoint).open(foreign)
+
+        assert main([
+            "study", "--providers", "MyIP.io", "--max-vps", "1",
+            "--resume", str(checkpoint),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if line.strip()]
+        assert line.startswith("error: ")
+        assert str(checkpoint) in line
+        requested = StudyPlan(
+            seed=2018, max_vantage_points=1, providers=["MyIP.io"]
+        )
+        assert foreign.fingerprint() in line
+        assert requested.fingerprint() in line
+
+
 class TestArchiveFingerprintCli:
     def test_fingerprint_matches_library(self, tmp_path, capsys):
         from repro.cli import main
