@@ -166,13 +166,14 @@ def run_full_study(
     list, or a generated ecosystem; ``config.shards`` splits world
     construction so workers only hold a provider slice.
 
-    Returns a :class:`repro.core.harness.StudyReport`.  With obs enabled
-    the report gains ``obs_metrics`` (merged snapshot dict or ``None``) and
-    ``trace_records`` (the assembled span list or ``None``).  With
+    Returns a :class:`repro.core.harness.StudyReport`.  With
     ``config.stream=True`` the archive is written incrementally to
     ``config.archive_dir`` and a
     :class:`repro.runtime.executor.StreamedStudy` is returned instead —
-    verdicts and manifest in memory, results on disk only.
+    verdicts and manifest in memory, results on disk only.  Either result
+    carries ``obs_metrics`` (merged snapshot dict, ``None`` unless metrics
+    are enabled) and ``trace_records`` (the assembled span list or
+    ``None``).
     """
     import sys
 
@@ -204,15 +205,17 @@ def run_full_study(
         ledger_path=ledger_path,
         sample_interval_s=sample_interval_s,
     )
-    if config.stream:
-        # One combined archive regardless of shard count; per-shard
-        # archives are the executor-level run_streamed(per_shard=True).
-        return executor.run_streamed(config.archive_dir)
-    report = executor.run()
+    # A streamed run writes one combined archive regardless of shard
+    # count; per-shard archives are run_streamed(per_shard=True).
+    study = (
+        executor.run_streamed(config.archive_dir)
+        if config.stream
+        else executor.run()
+    )
     metrics = executor.metrics
-    report.obs_metrics = metrics.snapshot() if metrics is not None else None
-    report.trace_records = executor.trace_records
-    return report
+    study.obs_metrics = metrics.snapshot() if metrics is not None else None
+    study.trace_records = executor.trace_records
+    return study
 
 
 def explain_provider(

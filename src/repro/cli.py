@@ -485,6 +485,7 @@ def cmd_study(
     import signal
     import threading
 
+    from repro.core.archive import ArchiveReadError
     from repro.runtime.checkpoint import CheckpointMismatchError
     from repro.runtime.executor import StudyInterrupted
 
@@ -572,8 +573,9 @@ def cmd_study(
         finally:
             if panel is not None:
                 panel.stop()
-    except CheckpointMismatchError as exc:
-        # --resume named another study's checkpoint; nothing ran.
+    except (CheckpointMismatchError, ArchiveReadError) as exc:
+        # --resume named another study's checkpoint (nothing ran), or a
+        # streamed archive lost a committed unit's bytes under the run.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -583,13 +585,7 @@ def cmd_study(
     print(f"\ncompleted in {time.time() - started:.0f}s")
     if ledger_path:
         print(f"ledger written to {ledger_path}")
-    if config.stream:
-        # run_full_study returned a StreamedStudy: results are already on
-        # disk, so there is nothing further to archive or aggregate here.
-        print(f"streamed archive at {study.archive_dir}")
-        print(f"fingerprint {study.fingerprint()}")
-        return 0
-    if getattr(study, "obs_metrics", None):
+    if study.obs_metrics:
         if config.obs.profile:
             from repro.obs.profile import render_phase_table
 
@@ -611,7 +607,12 @@ def cmd_study(
         print(f"trace written to {config.obs.trace_path}")
     if config.obs.metrics_path:
         print(f"metrics written to {config.obs.metrics_path}")
-    if archive:
+    if config.stream:
+        # run_full_study returned a StreamedStudy: results are already on
+        # disk, so there is nothing further to archive here.
+        print(f"streamed archive at {study.archive_dir}")
+        print(f"fingerprint {study.fingerprint()}")
+    elif archive:
         from repro.core.archive import write_study_archive
 
         path = write_study_archive(study, archive)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:
     from repro.core.harness import ProviderReport, StudyReport
@@ -41,64 +41,55 @@ def _slug(name: str) -> str:
     )
 
 
-def geoip_row_dicts(study: "StudyReport") -> list[dict]:
-    """The manifest's ``geoip`` table (summable across archive shards)."""
-    return [
-        {
-            "database": row.database,
-            "compared": row.compared,
-            "estimates": row.estimates,
-            "agreements": row.agreements,
-        }
-        for row in study.geoip.rows()
-    ]
-
-
-def redirect_row_dicts(study: "StudyReport") -> list[dict]:
-    """The manifest's ``redirects`` table (unionable across shards)."""
-    return [
-        {
-            "destination": row.destination,
-            "providers": sorted(row.providers),
-            "countries": sorted(row.countries),
-        }
-        for row in study.redirects.table()
-    ]
-
-
-def build_manifest(
-    providers: Iterable[str],
-    intercepting: Iterable[str],
-    failing_open: Iterable[str],
-    misrepresenting: Iterable[str],
-    geoip_rows: Sequence[dict],
-    redirect_rows: Sequence[dict],
+def manifest_from_verdicts(
+    verdicts: Iterable[dict], study: "StudyReport"
 ) -> dict:
-    """The study manifest dict, keys in canonical order.
+    """The study manifest, keys in canonical order.
 
-    All archive writers — monolithic, streaming, per-shard — and the
-    merge path build manifests through here, which is what makes a merge
-    of shard manifests byte-identical to the monolithic manifest.
+    *verdicts* are the providers' :func:`provider_verdicts` payloads and
+    *study* carries the cross-provider aggregates (geo-IP, redirects).
+    Every archive writer — monolithic, streamed, per-shard — builds its
+    manifest here, so this is the one place that says which verdicts make
+    a provider intercepting, failing open or misrepresenting locations.
     """
+    verdicts = list(verdicts)
+
+    def flagged(*keys: str) -> list[str]:
+        return sorted(
+            v["provider"] for v in verdicts if any(v[key] for key in keys)
+        )
+
     return {
-        "providers": sorted(providers),
-        "intercepting": sorted(intercepting),
-        "failing_open": sorted(failing_open),
-        "misrepresenting": sorted(misrepresenting),
-        "geoip": list(geoip_rows),
-        "redirects": list(redirect_rows),
+        "providers": sorted(v["provider"] for v in verdicts),
+        "intercepting": flagged("injection", "proxy", "tls_interception"),
+        "failing_open": flagged("fails_open"),
+        "misrepresenting": flagged("misrepresents_locations"),
+        # Summable across archive shards.
+        "geoip": [
+            {
+                "database": row.database,
+                "compared": row.compared,
+                "estimates": row.estimates,
+                "agreements": row.agreements,
+            }
+            for row in study.geoip.rows()
+        ],
+        # Unionable across archive shards.
+        "redirects": [
+            {
+                "destination": row.destination,
+                "providers": sorted(row.providers),
+                "countries": sorted(row.countries),
+            }
+            for row in study.redirects.table()
+        ],
     }
 
 
 def study_manifest(study: "StudyReport") -> dict:
     """The manifest of a fully materialised :class:`StudyReport`."""
-    return build_manifest(
-        providers=study.providers,
-        intercepting=study.providers_intercepting_or_manipulating,
-        failing_open=study.providers_failing_open,
-        misrepresenting=study.providers_misrepresenting_locations,
-        geoip_rows=geoip_row_dicts(study),
-        redirect_rows=redirect_row_dicts(study),
+    return manifest_from_verdicts(
+        map(provider_verdicts, study.providers.values()), study
     )
 
 
@@ -206,6 +197,22 @@ def read_vantage_point_results(
     from repro.core.results import VantagePointResults
 
     return VantagePointResults.from_json(pathlib.Path(path).read_text())
+
+
+class ArchiveReadError(RuntimeError):
+    """A committed unit's archived results could not be read back.
+
+    A journalled unit always has its bytes on disk, so a missing or torn
+    file at assembly means the archive was damaged under the run; raising
+    keeps that from silently becoming connect failures in the report.
+    """
+
+    def __init__(self, path: pathlib.Path, unit_id: str, cause: Exception):
+        super().__init__(
+            f"cannot read back unit {unit_id} from {path}: {cause}"
+        )
+        self.path = path
+        self.unit_id = unit_id
 
 
 class StreamingArchiveWriter:

@@ -796,9 +796,9 @@ class TestSuite:
         missing from *unit_results* (failed or timed out) are recorded in
         the provider's ``connect_failures``.
 
-        Profiled as the ``analysis`` phase (the executor publishes it as
-        one extra metrics delta after assembly, since it runs outside any
-        unit).
+        Profiled as the ``analysis`` phase.  This is the sequential
+        reference; the executor's study loop assembles the same providers
+        through :meth:`assemble_provider_from_plan`.
         """
         obs = self.obs
         profile = obs.profile if obs is not None else None

@@ -1,8 +1,8 @@
 """The per-worker observability session.
 
-One :class:`Observability` object lives in each executor worker (built by
-``ObsConfig.build`` inside ``_build_suite``) and owns whichever components
-the config enables: the :class:`~repro.obs.trace.Tracer`, the
+One :class:`Observability` object lives in each worker's suite (built by
+``ObsConfig.build`` in ``TestSuite.__init__``) and owns whichever
+components the config enables: the :class:`~repro.obs.trace.Tracer`, the
 :class:`~repro.obs.metrics.MetricsRegistry`, the
 :class:`~repro.obs.flight.FlightRecorder` and the routing-memo stats.  It
 is the single object the instrumented hot paths talk to: the simulated

@@ -6,7 +6,10 @@ a worker pool, retries failures under a :class:`RetryPolicy`, persists
 every completed unit through a :class:`CheckpointStore`, publishes progress
 events, and finally assembles the per-unit results — in plan order, never
 completion order — into the same :class:`~repro.core.harness.StudyReport`
-a sequential run produces.
+a sequential run produces.  One loop serves both entry points; they differ
+only in the result sink: ``run()`` keeps unit results in memory and returns
+the report, ``run_streamed()`` appends them to an archive and returns a
+:class:`StreamedStudy`.
 
 Determinism is the design constraint everything else bends around:
 
@@ -38,6 +41,7 @@ import pathlib
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -47,12 +51,11 @@ from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.units import AuditUnit, StudyPlan
 from repro.source import StudySource
-from repro.world_factory import ShardedWorldFactory, WorldFactory
+from repro.world_factory import ShardedWorldFactory
 
 if TYPE_CHECKING:
     from repro.config import StudyConfig
-    from repro.core.archive import StreamingArchiveWriter
-    from repro.core.harness import StudyReport
+    from repro.core.harness import ProviderReport, StudyReport
     from repro.core.results import VantagePointResults
     from repro.obs.config import ObsConfig
     from repro.obs.metrics import MetricsRegistry
@@ -104,20 +107,6 @@ class StudyInterrupted(RuntimeError):
         )
         self.completed = completed
         self.remaining = remaining
-
-
-def _build_suite(
-    seed: int,
-    providers: Optional[list[str]],
-    suite_kwargs: dict,
-) -> TestSuite:
-    # Clone from the snapshot cache instead of rebuilding: each worker
-    # still gets a fully isolated world, but pays pickle.loads (~10 ms)
-    # rather than World.build (~100 ms).  With a fork start method the
-    # process backend inherits the coordinator's warmed template
-    # copy-on-write, so worker processes never rebuild either.
-    world = WorldFactory.clone(seed=seed, provider_names=providers)
-    return TestSuite(world, **suite_kwargs)
 
 
 def _build_shard_suite(
@@ -276,6 +265,141 @@ class StreamedStudy:
         return "\n".join(lines)
 
 
+# ----------------------------------------------------------------------
+# Result sinks: where the study loop stores committed units and puts
+# assembled providers.  The two differ only in storage.
+# ----------------------------------------------------------------------
+class _MemorySink:
+    """Unit results kept as objects; assembles a :class:`StudyReport`."""
+
+    def __init__(self) -> None:
+        from repro.core.harness import StudyReport
+
+        self._results: dict[str, list["VantagePointResults"]] = {}
+        self._study = StudyReport()
+
+    def put(
+        self, unit: AuditUnit, results: list["VantagePointResults"]
+    ) -> None:
+        self._results[unit.unit_id] = results
+
+    def get(self, unit: AuditUnit) -> Optional[list["VantagePointResults"]]:
+        return self._results.get(unit.unit_id)
+
+    def add(
+        self,
+        shard_suite: TestSuite,
+        shard: int,
+        name: str,
+        report: "ProviderReport",
+    ) -> None:
+        self._study.providers[name] = report
+        shard_suite.ingest_provider_aggregates(self._study, name, report)
+
+    def finish(self) -> "StudyReport":
+        return self._study
+
+
+class _ArchiveSink:
+    """Unit results appended to an archive, read back per provider.
+
+    Memory holds committed unit ids, verdict payloads and, per archive
+    root, the study-wide aggregates its manifest needs — never a unit's
+    results beyond the provider being assembled.
+    """
+
+    def __init__(
+        self, archive_dir: str | pathlib.Path, shards: int, per_shard: bool
+    ) -> None:
+        from repro.core.archive import StreamingArchiveWriter
+        from repro.core.harness import StudyReport
+
+        self.archive_dir = pathlib.Path(archive_dir)
+        self.per_shard = per_shard
+        if per_shard:
+            self._writers = {
+                shard: StreamingArchiveWriter(
+                    self.archive_dir / f"shard-{shard:04d}"
+                )
+                for shard in range(shards)
+            }
+        else:
+            writer = StreamingArchiveWriter(self.archive_dir)
+            self._writers = dict.fromkeys(range(shards), writer)
+        # archive root -> (writer, manifest aggregates, verdict payloads)
+        self._roots = {
+            writer.root: (writer, StudyReport(), [])
+            for writer in self._writers.values()
+        }
+        self._committed: set[str] = set()
+        self._verdicts: dict[str, dict] = {}
+
+    def put(
+        self, unit: AuditUnit, results: list["VantagePointResults"]
+    ) -> None:
+        writer = self._writers[unit.shard]
+        for vp_results in results:
+            writer.append_result(vp_results)
+        self._committed.add(unit.unit_id)
+
+    def get(self, unit: AuditUnit) -> Optional[list["VantagePointResults"]]:
+        from repro.core.archive import (
+            ArchiveReadError,
+            _slug,
+            read_vantage_point_results,
+        )
+
+        if unit.unit_id not in self._committed:
+            return None
+        directory = self._writers[unit.shard].root / _slug(unit.provider)
+        results = []
+        for hostname in unit.hostnames:
+            path = directory / (_slug(hostname) + ".json")
+            try:
+                results.append(read_vantage_point_results(path))
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ArchiveReadError(path, unit.unit_id, exc) from exc
+        return results
+
+    def add(
+        self,
+        shard_suite: TestSuite,
+        shard: int,
+        name: str,
+        report: "ProviderReport",
+    ) -> None:
+        writer, study, verdicts = self._roots[self._writers[shard].root]
+        shard_suite.ingest_provider_aggregates(study, name, report)
+        payload = writer.write_verdicts(report)
+        verdicts.append(payload)
+        self._verdicts[name] = payload
+
+    def finish(self) -> StreamedStudy:
+        from repro.core.archive import (
+            _merge_manifests,
+            manifest_from_verdicts,
+        )
+
+        manifests = []
+        for writer, study, verdicts in self._roots.values():
+            manifest = manifest_from_verdicts(verdicts, study)
+            writer.finalize(manifest)
+            manifests.append(manifest)
+        return StreamedStudy(
+            archive_dir=self.archive_dir,
+            shard_dirs=list(self._roots) if self.per_shard else [],
+            providers=list(self._verdicts),
+            manifest=(
+                manifests[0] if len(manifests) == 1
+                else _merge_manifests(manifests)
+            ),
+            verdicts=self._verdicts,
+        )
+
+
+_ResultSink = _MemorySink | _ArchiveSink
+
+
 class StudyExecutor:
     """Run a study as a unit graph on a worker pool.
 
@@ -325,10 +449,6 @@ class StudyExecutor:
                 else StudySource.catalog()
             )
         self.source = source
-        # Kept for callers that still read it; None means "whole catalogue".
-        self.providers = (
-            list(source.providers) if source.kind == "explicit" else None
-        )
         self.shards = shards
         self.max_vantage_points = max_vantage_points
         self.workers = workers
@@ -370,9 +490,6 @@ class StudyExecutor:
         self._live = {"queue_depth": 0, "in_flight": 0}
         # Coordinator-side shard suites (planning, inline runs, assembly).
         self._suites: SuiteCache = SuiteCache()
-        # Set for the duration of run_streamed(): unit.shard -> writer.
-        self._stream_writers: Optional[dict[int, "StreamingArchiveWriter"]]
-        self._stream_writers = None
 
     @classmethod
     def from_config(
@@ -540,141 +657,19 @@ class StudyExecutor:
         return plan
 
     # ------------------------------------------------------------------
+    # The study loop: one path for both sinks
+    # ------------------------------------------------------------------
     def run(self, limit_units: Optional[int] = None) -> "StudyReport":
         """Execute the study; returns the assembled report.
 
+        Unit results stay in memory as objects until assembly.
         ``limit_units`` stops after that many units have been *executed*
         (checkpointed units don't count) and assembles a partial report —
         the hook the resume tests and benchmarks use to simulate a study
         killed mid-run without actually killing a process.
         """
-        telemetry = self._start_telemetry()
-        try:
-            return self._run(limit_units)
-        finally:
-            self._stop_telemetry(telemetry)
+        return self._execute(_MemorySink(), limit_units)
 
-    def _run(self, limit_units: Optional[int] = None) -> "StudyReport":
-        started = time.perf_counter()
-        suite = self._shard_suite(0)
-        plan = self._plan(suite)
-        self.plan = plan
-
-        checkpoint = (
-            CheckpointStore(self.checkpoint_dir)
-            if self.checkpoint_dir
-            else None
-        )
-        journal = checkpoint.open(plan) if checkpoint else {}
-
-        unit_results: dict[str, list["VantagePointResults"]] = {}
-        skipped: list[AuditUnit] = []
-        pending: list[AuditUnit] = []
-        for unit in plan.units:
-            entry = journal.get(unit.unit_id)
-            loaded = (
-                checkpoint.load_unit_results(entry)
-                if checkpoint and entry is not None
-                else None
-            )
-            if loaded is not None:
-                unit_results[unit.unit_id] = loaded
-                skipped.append(unit)
-            else:
-                pending.append(unit)
-        if limit_units is not None:
-            pending = pending[:limit_units]
-
-        self.bus.publish(
-            ev.StudyStarted(
-                total_units=len(plan.units),
-                providers=len(plan.providers),
-                vantage_points=plan.total_vantage_points,
-                workers=self.workers,
-                resumed_units=len(skipped),
-            )
-        )
-        for unit in skipped:
-            entry = journal[unit.unit_id]
-            self.bus.publish(
-                ev.UnitSkipped(unit_id=unit.unit_id, wall_ms=entry.wall_ms)
-            )
-
-        if pending:
-            if self.workers == 1 and self.pool is None:
-                self._run_inline(suite, plan, pending, unit_results, checkpoint)
-            else:
-                self._run_pooled(plan, pending, unit_results, checkpoint)
-
-        if self.shards == 1:
-            report = suite.assemble_study(plan, unit_results)
-        else:
-            report = self._assemble_sharded(suite, plan, unit_results)
-        if suite.obs is not None:
-            # Assembly runs on the coordinator outside any unit; its
-            # profiled "analysis" phase joins the study aggregate as one
-            # extra delta at the same merge point as everything else.
-            snapshot = suite.obs.drain_phases()
-            if snapshot is not None:
-                self.bus.publish(
-                    ev.UnitMetrics(unit_id="__analysis__", snapshot=snapshot)
-                )
-        self._finalize_obs(plan)
-        self._stop_sampler()
-        wall_s = time.perf_counter() - started
-        self.bus.publish(
-            ev.StudyFinished(
-                wall_s=wall_s,
-                completed=self.stats.completed_units,
-                skipped=len(skipped),
-                failed=self.stats.failed_units,
-                retried=self.stats.retried_units,
-            )
-        )
-        return report
-
-    # ------------------------------------------------------------------
-    # Sharded assembly (shards>1, in-memory)
-    # ------------------------------------------------------------------
-    def _assemble_sharded(
-        self,
-        suite: TestSuite,
-        plan: StudyPlan,
-        unit_results: dict[str, list["VantagePointResults"]],
-    ) -> "StudyReport":
-        """Assemble a sharded run into one report, in plan order.
-
-        Each provider is assembled on its own shard's suite (only that
-        world contains it); the study-wide aggregates fold in per
-        provider exactly as the monolithic ``_assemble_study`` does, so
-        the report is identical to an unsharded run's.
-        """
-        from repro.core.harness import StudyReport
-
-        shard_of: dict[str, int] = {}
-        for unit in plan.units:
-            shard_of.setdefault(unit.provider, unit.shard)
-
-        def assemble() -> "StudyReport":
-            study = StudyReport()
-            for name in plan.providers:
-                shard_suite = self._shard_suite(shard_of.get(name, 0))
-                report = shard_suite.assemble_provider_from_plan(
-                    plan, name, unit_results
-                )
-                study.providers[name] = report
-                shard_suite.ingest_provider_aggregates(study, name, report)
-            return study
-
-        profile = suite.obs.profile if suite.obs is not None else None
-        if profile is None:
-            return assemble()
-        with profile.phase("analysis"):
-            return assemble()
-
-    # ------------------------------------------------------------------
-    # Streaming execution: archive-as-you-go, flat memory
-    # ------------------------------------------------------------------
     def run_streamed(
         self,
         archive_dir: str | pathlib.Path,
@@ -688,7 +683,9 @@ class StudyExecutor:
         (via :class:`~repro.core.archive.StreamingArchiveWriter`) and the
         per-provider reports are assembled one at a time from those files,
         then dropped once their verdicts are written.  Peak memory is
-        O(one provider), flat in study size.
+        O(one provider), flat in study size.  A committed unit whose files
+        cannot be read back raises
+        :class:`~repro.core.archive.ArchiveReadError`.
 
         ``per_shard=True`` writes one self-contained archive per shard
         (``<archive_dir>/shard-NNNN/``), each with its own manifest;
@@ -700,63 +697,38 @@ class StudyExecutor:
         ``limit_units`` mirrors :meth:`run`: stop after that many executed
         units, leaving a readable archive prefix for resume tests.
         """
+        return self._execute(
+            _ArchiveSink(archive_dir, self.shards, per_shard), limit_units
+        )
+
+    def _execute(
+        self, sink: "_ResultSink", limit_units: Optional[int]
+    ) -> "StudyReport | StreamedStudy":
+        """Plan, replay the journal, dispatch, assemble into *sink*."""
         telemetry = self._start_telemetry()
         try:
-            return self._run_streamed(archive_dir, per_shard, limit_units)
-        finally:
-            self._stop_telemetry(telemetry)
+            started = time.perf_counter()
+            suite = self._shard_suite(0)
+            plan = self._plan(suite)
+            self.plan = plan
 
-    def _run_streamed(
-        self,
-        archive_dir: str | pathlib.Path,
-        per_shard: bool,
-        limit_units: Optional[int],
-    ) -> StreamedStudy:
-        from repro.core.archive import StreamingArchiveWriter
-
-        started = time.perf_counter()
-        suite = self._shard_suite(0)
-        plan = self._plan(suite)
-        self.plan = plan
-
-        archive_dir = pathlib.Path(archive_dir)
-        if per_shard:
-            writers = {
-                shard: StreamingArchiveWriter(
-                    archive_dir / f"shard-{shard:04d}"
-                )
-                for shard in range(self.shards)
-            }
-        else:
-            writer = StreamingArchiveWriter(archive_dir)
-            writers = {shard: writer for shard in range(self.shards)}
-        self._stream_writers = writers
-
-        checkpoint = (
-            CheckpointStore(self.checkpoint_dir)
-            if self.checkpoint_dir
-            else None
-        )
-        journal = checkpoint.open(plan) if checkpoint else {}
-
-        unit_results: dict[str, object] = {}
-        skipped: list[AuditUnit] = []
-        pending: list[AuditUnit] = []
-        try:
+            checkpoint = (
+                CheckpointStore(self.checkpoint_dir)
+                if self.checkpoint_dir
+                else None
+            )
+            journal = checkpoint.open(plan) if checkpoint else {}
+            skipped: list[AuditUnit] = []
+            pending: list[AuditUnit] = []
             for unit in plan.units:
                 entry = journal.get(unit.unit_id)
                 loaded = (
                     checkpoint.load_unit_results(entry)
-                    if checkpoint and entry is not None
+                    if entry is not None
                     else None
                 )
                 if loaded is not None:
-                    # Replay the checkpointed bytes into the archive, then
-                    # let them go — a resumed streamed run re-persists, it
-                    # never re-holds.
-                    for vp_results in loaded:
-                        writers[unit.shard].append_result(vp_results)
-                    unit_results[unit.unit_id] = True
+                    sink.put(unit, loaded)
                     skipped.append(unit)
                 else:
                     pending.append(unit)
@@ -773,180 +745,75 @@ class StudyExecutor:
                 )
             )
             for unit in skipped:
-                entry = journal[unit.unit_id]
                 self.bus.publish(
                     ev.UnitSkipped(
-                        unit_id=unit.unit_id, wall_ms=entry.wall_ms
+                        unit_id=unit.unit_id,
+                        wall_ms=journal[unit.unit_id].wall_ms,
                     )
                 )
 
             if pending:
                 if self.workers == 1 and self.pool is None:
-                    self._run_inline(
-                        suite, plan, pending, unit_results, checkpoint
-                    )
+                    self._run_inline(suite, plan, pending, sink, checkpoint)
                 else:
-                    self._run_pooled(
-                        plan, pending, unit_results, checkpoint
+                    self._run_pooled(plan, pending, sink, checkpoint)
+
+            obs = suite.obs
+            profile = obs.profile if obs is not None else None
+            analysis = profile.phase("analysis") if profile else nullcontext()
+            with analysis:
+                self._assemble(plan, sink)
+            result = sink.finish()
+            if obs is not None:
+                # Assembly runs on the coordinator outside any unit; its
+                # profiled "analysis" phase joins the study aggregate as
+                # one extra delta at the same merge point as everything
+                # else.
+                snapshot = obs.drain_phases()
+                if snapshot is not None:
+                    self.bus.publish(
+                        ev.UnitMetrics(
+                            unit_id="__analysis__", snapshot=snapshot
+                        )
                     )
-
-            streamed = self._assemble_streamed(
-                suite, plan, unit_results, writers, per_shard, archive_dir
+            self._finalize_obs(plan)
+            self._stop_sampler()
+            self.bus.publish(
+                ev.StudyFinished(
+                    wall_s=time.perf_counter() - started,
+                    completed=self.stats.completed_units,
+                    skipped=len(skipped),
+                    failed=self.stats.failed_units,
+                    retried=self.stats.retried_units,
+                )
             )
+            return result
         finally:
-            self._stream_writers = None
-        if suite.obs is not None:
-            snapshot = suite.obs.drain_phases()
-            if snapshot is not None:
-                self.bus.publish(
-                    ev.UnitMetrics(unit_id="__analysis__", snapshot=snapshot)
-                )
-        self._finalize_obs(plan)
-        self._stop_sampler()
-        wall_s = time.perf_counter() - started
-        self.bus.publish(
-            ev.StudyFinished(
-                wall_s=wall_s,
-                completed=self.stats.completed_units,
-                skipped=len(skipped),
-                failed=self.stats.failed_units,
-                retried=self.stats.retried_units,
-            )
-        )
-        return streamed
+            self._stop_telemetry(telemetry)
 
-    def _assemble_streamed(
-        self,
-        suite: TestSuite,
-        plan: StudyPlan,
-        unit_results: dict[str, object],
-        writers: dict[int, "StreamingArchiveWriter"],
-        per_shard: bool,
-        archive_dir: pathlib.Path,
-    ) -> StreamedStudy:
-        """Assemble providers one at a time from the archived bytes.
+    def _assemble(self, plan: StudyPlan, sink: "_ResultSink") -> None:
+        """Assemble every provider into *sink*, in plan order.
 
-        Per provider: read its unit files back, build the report on its
-        shard's suite, write its verdicts, fold it into the per-archive
-        aggregates, drop it.  Finally each archive's manifest is built
-        from those aggregates — through the same
-        :func:`~repro.core.archive.build_manifest` as the monolithic
-        writer, so the bytes agree.
+        Each provider is assembled on its own shard's suite (only that
+        world contains it; with one shard it is the coordinator's suite),
+        so scheduling order and shard count never reach the report.
         """
-        from repro.core.archive import (
-            _merge_manifests,
-            _slug,
-            build_manifest,
-            geoip_row_dicts,
-            read_vantage_point_results,
-            redirect_row_dicts,
-        )
-        from repro.core.harness import StudyReport
-
-        shard_of: dict[str, int] = {}
+        units_of: dict[str, list[AuditUnit]] = {}
         for unit in plan.units:
-            shard_of.setdefault(unit.provider, unit.shard)
-
-        # One aggregate bundle per distinct archive directory.
-        accs: dict[pathlib.Path, dict] = {}
-
-        def acc_for(writer: "StreamingArchiveWriter") -> dict:
-            acc = accs.get(writer.root)
-            if acc is None:
-                acc = {
-                    "study": StudyReport(),
-                    "providers": [],
-                    "intercepting": set(),
-                    "failing_open": set(),
-                    "misrepresenting": set(),
-                }
-                accs[writer.root] = acc
-            return acc
-
-        verdicts: dict[str, dict] = {}
-
-        def assemble() -> None:
-            for name in plan.providers:
-                shard = shard_of.get(name, 0)
-                writer = writers[shard]
-                shard_suite = self._shard_suite(shard)
-                per_unit: dict[str, list] = {}
-                for unit in plan.units:
-                    if unit.provider != name:
-                        continue
-                    if not unit_results.get(unit.unit_id):
-                        continue
-                    directory = writer.root / _slug(name)
-                    loaded = []
-                    complete = True
-                    for hostname in unit.hostnames:
-                        path = directory / (_slug(hostname) + ".json")
-                        try:
-                            loaded.append(read_vantage_point_results(path))
-                        except (OSError, ValueError, KeyError, TypeError):
-                            complete = False
-                            break
-                    if complete:
-                        per_unit[unit.unit_id] = loaded
-                report = shard_suite.assemble_provider_from_plan(
-                    plan, name, per_unit
-                )
-                acc = acc_for(writer)
-                acc["providers"].append(name)
-                shard_suite.ingest_provider_aggregates(
-                    acc["study"], name, report
-                )
-                if (
-                    report.injection_detected
-                    or report.proxy_detected
-                    or report.tls_interception_detected
-                ):
-                    acc["intercepting"].add(name)
-                if report.fails_open:
-                    acc["failing_open"].add(name)
-                if report.misrepresents_locations:
-                    acc["misrepresenting"].add(name)
-                verdicts[name] = writer.write_verdicts(report)
-
-        profile = suite.obs.profile if suite.obs is not None else None
-        if profile is None:
-            assemble()
-        else:
-            with profile.phase("analysis"):
-                assemble()
-
-        manifests: list[dict] = []
-        shard_dirs: list[pathlib.Path] = []
-        finalized: set[pathlib.Path] = set()
-        for shard in sorted(writers):
-            writer = writers[shard]
-            if writer.root in finalized:
-                continue
-            finalized.add(writer.root)
-            acc = acc_for(writer)
-            manifest = build_manifest(
-                providers=acc["providers"],
-                intercepting=acc["intercepting"],
-                failing_open=acc["failing_open"],
-                misrepresenting=acc["misrepresenting"],
-                geoip_rows=geoip_row_dicts(acc["study"]),
-                redirect_rows=redirect_row_dicts(acc["study"]),
+            units_of.setdefault(unit.provider, []).append(unit)
+        for name in plan.providers:
+            units = units_of.get(name, [])
+            shard = units[0].shard if units else 0
+            shard_suite = self._shard_suite(shard)
+            unit_results = {}
+            for unit in units:
+                results = sink.get(unit)
+                if results is not None:
+                    unit_results[unit.unit_id] = results
+            report = shard_suite.assemble_provider_from_plan(
+                plan, name, unit_results
             )
-            writer.finalize(manifest)
-            manifests.append(manifest)
-            if per_shard:
-                shard_dirs.append(writer.root)
-        merged = (
-            manifests[0] if len(manifests) == 1
-            else _merge_manifests(manifests)
-        )
-        return StreamedStudy(
-            archive_dir=archive_dir,
-            shard_dirs=shard_dirs,
-            providers=list(plan.providers),
-            manifest=merged,
-            verdicts=verdicts,
-        )
+            sink.add(shard_suite, shard, name, report)
 
     # ------------------------------------------------------------------
     # Inline (workers=1): the sequential reference path
@@ -956,7 +823,7 @@ class StudyExecutor:
         suite: TestSuite,
         plan: StudyPlan,
         pending: list[AuditUnit],
-        unit_results: dict,
+        sink: "_ResultSink",
         checkpoint: Optional[CheckpointStore],
     ) -> None:
         index_of = {u.unit_id: i + 1 for i, u in enumerate(plan.units)}
@@ -987,7 +854,7 @@ class StudyExecutor:
             self._commit(
                 unit,
                 outcome,
-                unit_results,
+                sink,
                 checkpoint,
                 queue_depth=len(pending) - position - 1,
             )
@@ -1016,7 +883,7 @@ class StudyExecutor:
         self,
         plan: StudyPlan,
         pending: list[AuditUnit],
-        unit_results: dict,
+        sink: "_ResultSink",
         checkpoint: Optional[CheckpointStore],
     ) -> None:
         if self.backend == "process":
@@ -1139,7 +1006,7 @@ class StudyExecutor:
                     self._commit(
                         unit,
                         outcome,
-                        unit_results,
+                        sink,
                         checkpoint,
                         queue_depth=len(active),
                     )
@@ -1233,21 +1100,14 @@ class StudyExecutor:
         self,
         unit: AuditUnit,
         outcome: UnitOutcome,
-        unit_results: dict,
+        sink: "_ResultSink",
         checkpoint: Optional[CheckpointStore],
         queue_depth: int,
     ) -> None:
         results, connect_retries, wall_ms, obs_payload, resources = outcome
-        if self._stream_writers is not None:
-            # Streaming mode: results go straight to the archive (before
-            # the checkpoint commit, so a journalled unit always has its
-            # bytes on disk) and only a completion marker stays in memory.
-            writer = self._stream_writers[unit.shard]
-            for vp_results in results:
-                writer.append_result(vp_results)
-            unit_results[unit.unit_id] = True
-        else:
-            unit_results[unit.unit_id] = results
+        # Into the sink before the checkpoint commit, so a journalled unit
+        # always has its bytes on disk.
+        sink.put(unit, results)
         if checkpoint is not None:
             checkpoint.record(unit, results, wall_ms, connect_retries)
         if obs_payload is not None:

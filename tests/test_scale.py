@@ -28,6 +28,64 @@ def _mono_fingerprint(tmp_path, **kwargs):
     return archive_fingerprint(root)
 
 
+def _sink_outcome(tmp_path, sink, resumed):
+    """(fingerprint, bus event type names, phase.calls.*) of one study.
+
+    *sink* picks the storage: ``memory`` is ``run()`` then
+    ``write_study_archive``, ``streamed`` one ``run_streamed`` archive,
+    ``per-shard`` per-shard archives at ``shards=2`` merged.  *resumed*
+    first journals 4 of the 9 units under ``limit_units`` and reports the
+    run that resumes from that checkpoint.
+    """
+    from repro.core.archive import (
+        archive_fingerprint,
+        merge_archives,
+        write_study_archive,
+    )
+    from repro.obs.config import ObsConfig
+    from repro.runtime.events import EventBus
+    from repro.runtime.executor import StudyExecutor
+
+    archive = tmp_path / "archive"
+
+    def execute(limit_units=None):
+        bus = EventBus()
+        events = []
+        bus.subscribe(lambda event: events.append(type(event).__name__))
+        executor = StudyExecutor(
+            providers=PROVIDERS,
+            max_vantage_points=2,
+            shards=2 if sink == "per-shard" else 1,
+            checkpoint_dir=str(tmp_path / "ckpt") if resumed else None,
+            obs=ObsConfig(profile=True),
+            bus=bus,
+        )
+        if sink == "memory":
+            report = executor.run(limit_units)
+            if limit_units is None:
+                write_study_archive(report, archive)
+        elif sink == "streamed":
+            executor.run_streamed(archive, limit_units=limit_units)
+        else:
+            shards = executor.run_streamed(
+                tmp_path / "shards", per_shard=True, limit_units=limit_units
+            )
+            if limit_units is None:
+                merge_archives(shards.shard_dirs, archive)
+        counters = executor.metrics.snapshot()["counters"]
+        calls = {
+            name: value
+            for name, value in counters.items()
+            if name.startswith("phase.calls.")
+        }
+        return events, calls
+
+    if resumed:
+        execute(limit_units=4)
+    events, calls = execute()
+    return archive_fingerprint(archive), events, calls
+
+
 # ----------------------------------------------------------------------
 # StudySource: the redesigned study-input value
 # ----------------------------------------------------------------------
@@ -212,16 +270,45 @@ class TestShardedWorldFactory:
 # ----------------------------------------------------------------------
 # Streaming archives
 # ----------------------------------------------------------------------
-class TestStreamingArchives:
-    def test_streamed_equals_monolithic(self, tmp_path):
-        from repro.runtime.executor import StudyExecutor
+@pytest.fixture(scope="module")
+def memory_outcome(tmp_path_factory):
+    """The memory sink's :func:`_sink_outcome`, once per mode."""
+    cache = {}
 
-        mono = _mono_fingerprint(tmp_path, providers=PROVIDERS)
-        streamed = StudyExecutor(
-            providers=PROVIDERS, max_vantage_points=2
-        ).run_streamed(tmp_path / "streamed")
-        assert streamed.fingerprint() == mono
-        assert sorted(streamed.providers) == sorted(PROVIDERS)
+    def outcome(resumed):
+        if resumed not in cache:
+            cache[resumed] = _sink_outcome(
+                tmp_path_factory.mktemp("memory"), "memory", resumed
+            )
+        return cache[resumed]
+
+    return outcome
+
+
+class TestStreamingArchives:
+    @pytest.mark.parametrize(
+        "resumed", [False, True], ids=["fresh", "resumed"]
+    )
+    @pytest.mark.parametrize("sink", ["memory", "streamed", "per-shard"])
+    def test_streamed_equals_monolithic(
+        self, tmp_path, memory_outcome, sink, resumed
+    ):
+        """The memory and archive sinks differ only in storage.
+
+        Fresh or resumed, every sink gives the in-memory run's archive
+        bytes, ordered bus event types and profiled phase calls.
+        """
+        outcome = (
+            memory_outcome(resumed)
+            if sink == "memory"
+            else _sink_outcome(tmp_path, sink, resumed)
+        )
+        assert outcome == memory_outcome(resumed)
+        assert outcome[0] == memory_outcome(False)[0]
+        events = outcome[1]
+        assert events[0] == "StudyStarted" and events[-1] == "StudyFinished"
+        assert events.count("UnitSkipped") == (4 if resumed else 0)
+        assert outcome[2]["phase.calls.analysis"] == 1
 
     def test_per_shard_merge_is_order_independent(self, tmp_path):
         from repro.core.archive import archive_fingerprint, merge_archives
@@ -235,6 +322,8 @@ class TestStreamingArchives:
         ).run_streamed(tmp_path / "shards", per_shard=True)
         shard_dirs = [pathlib.Path(d) for d in streamed.shard_dirs]
         assert len(shard_dirs) == 3
+        assert sorted(streamed.providers) == sorted(PROVIDERS)
+        assert sorted(streamed.verdicts) == sorted(PROVIDERS)
 
         forward = tmp_path / "merge-forward"
         merge_archives(shard_dirs, forward)
@@ -242,6 +331,10 @@ class TestStreamingArchives:
         merge_archives(list(reversed(shard_dirs)), backward)
         assert archive_fingerprint(forward) == mono
         assert archive_fingerprint(backward) == mono
+        # The in-memory merged manifest is the one the merge writes.
+        assert streamed.manifest == json.loads(
+            (forward / "manifest.json").read_text()
+        )
 
     def test_crash_leaves_readable_prefix_and_resumes(self, tmp_path):
         """Kill a streamed study mid-way; the archive prefix must parse and
@@ -303,6 +396,40 @@ class TestStreamingArchives:
             StreamingArchiveWriter(tmp_path / "b"), StreamingArchiveWriter
         )
 
+    def test_unreadable_committed_unit_is_a_typed_error(self, tmp_path):
+        """A committed unit torn under a streamed run fails loudly.
+
+        The tear lands on the 2nd ``UnitFinished``, after the unit's file
+        was written and journalled; assembly must name the file and the
+        unit instead of turning the unit into connect failures.
+        """
+        from repro.core.archive import ArchiveReadError
+        from repro.runtime import events as ev
+        from repro.runtime.executor import StudyExecutor
+
+        archive = tmp_path / "archive"
+        victim = archive / "seed4_me" / "nl03_seed4me_net.json"
+        finished = []
+
+        def tear(event):
+            if isinstance(event, ev.UnitFinished):
+                finished.append(event.unit_id)
+                if len(finished) == 2:
+                    victim.write_bytes(victim.read_bytes()[:10])
+
+        bus = ev.EventBus()
+        bus.subscribe(tear, replay=False)
+        executor = StudyExecutor(
+            providers=["Seed4.me"], max_vantage_points=2, bus=bus
+        )
+        with pytest.raises(ArchiveReadError) as raised:
+            executor.run_streamed(archive)
+        assert bus.first_handler_error is None
+        assert raised.value.path == victim
+        assert raised.value.unit_id == finished[1]
+        assert str(victim) in str(raised.value)
+        assert finished[1] in str(raised.value)
+
     def test_generated_process_sharded_streamed(self, tmp_path):
         """The acceptance shape in miniature: generated source, process
         backend, per-shard archives, merged == monolithic."""
@@ -346,6 +473,33 @@ class TestStudyInputApi:
         assert type(study).__name__ == "StreamedStudy"
         assert study.fingerprint() == mono
         assert "Streamed study" in study.summary()
+
+    def test_streamed_run_full_study_carries_obs_metrics(self, tmp_path):
+        import repro
+        from repro.config import StudyConfig
+        from repro.obs.config import ObsConfig
+
+        def phase_calls(**stream):
+            study = repro.run_full_study(
+                config=StudyConfig(
+                    providers=["Seed4.me", "PureVPN"],
+                    max_vantage_points=1,
+                    obs=ObsConfig(profile=True),
+                    **stream,
+                )
+            )
+            return {
+                name: value
+                for name, value in study.obs_metrics["counters"].items()
+                if name.startswith("phase.calls.")
+            }
+
+        in_memory = phase_calls()
+        assert in_memory["phase.calls.analysis"] == 1
+        streamed = phase_calls(
+            archive_dir=str(tmp_path / "streamed"), stream=True
+        )
+        assert streamed == in_memory
 
     def test_explicit_source_equals_providers_kwarg(self, tmp_path):
         from repro.source import StudySource
@@ -403,3 +557,42 @@ class TestStudyInputApi:
         back = JobRequest.from_dict(request.to_dict())
         assert back == request
         assert back.fingerprint() == request.fingerprint()
+
+
+# ----------------------------------------------------------------------
+# CLI: streamed studies report like in-memory ones
+# ----------------------------------------------------------------------
+class TestStreamedStudyCli:
+    ARGS = [
+        "study", "--providers", "Seed4.me", "PureVPN", "--max-vps", "1",
+        "--stream",
+    ]
+
+    def test_stream_profile_prints_phase_table(self, tmp_path, capsys):
+        from repro.cli import main
+
+        archive = tmp_path / "archive"
+        args = [*self.ARGS, "--archive", str(archive), "--profile"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "phase wall-clock attribution" in out
+        assert f"streamed archive at {archive}" in out
+
+    def test_unreadable_unit_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.core.archive as archive_module
+        from repro.cli import main
+
+        def torn(path):
+            raise ValueError("truncated JSON")
+
+        monkeypatch.setattr(
+            archive_module, "read_vantage_point_results", torn
+        )
+        assert main([*self.ARGS, "--archive", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if line.strip()]
+        assert line.startswith("error: cannot read back unit ")
+        assert "truncated JSON" in line
