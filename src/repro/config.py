@@ -9,14 +9,14 @@ a deprecated shim), and the executor/scheduler construct themselves from
 one — so a config value round-trips unchanged from flag to worker.
 
 Frozen and hashable on purpose: a config can key caches, be compared for
-checkpoint compatibility, and cannot drift mid-study.  ``to_dict`` /
-``from_dict`` give a stable JSON round-trip for archiving alongside
-results.
+checkpoint compatibility, and cannot drift mid-study.
+:func:`repro.codec.to_jsonable` / :func:`~repro.codec.from_jsonable` give
+a stable JSON round-trip for archiving alongside results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro.obs.config import ObsConfig
@@ -114,47 +114,6 @@ class StudyConfig:
         return StudySource.catalog()
 
     # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        out: dict = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name == "obs":
-                value = {
-                    "trace": value.trace,
-                    "trace_path": value.trace_path,
-                    "trace_packets": value.trace_packets,
-                    "metrics": value.metrics,
-                    "metrics_path": value.metrics_path,
-                    "flight_recorder": value.flight_recorder,
-                    "profile": value.profile,
-                    "stage_profile": value.stage_profile,
-                    "stage_sample": value.stage_sample,
-                }
-            elif spec.name == "providers" and value is not None:
-                value = list(value)
-            elif spec.name == "source" and value is not None:
-                value = value.to_dict()
-            out[spec.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StudyConfig":
-        known = {spec.name for spec in fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        obs = kwargs.get("obs")
-        if isinstance(obs, dict):
-            kwargs["obs"] = ObsConfig(**obs)
-        providers = kwargs.get("providers")
-        if providers is not None:
-            kwargs["providers"] = tuple(providers)
-        source = kwargs.get("source")
-        if isinstance(source, dict):
-            kwargs["source"] = StudySource.from_dict(source)
-        return cls(**kwargs)
-
-    # ------------------------------------------------------------------
     @classmethod
     def for_providers(
         cls, providers: Sequence[str], **kwargs: object
@@ -202,11 +161,3 @@ class ServeConfig:
 
     def replace(self, **changes: object) -> "ServeConfig":
         return replace(self, **changes)  # type: ignore[arg-type]
-
-    def to_dict(self) -> dict:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServeConfig":
-        known = {spec.name for spec in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.codec import from_jsonable, to_jsonable
 from repro.core.results import GeolocationResult
 
 
@@ -39,13 +40,17 @@ class GeoIpComparisonRow:
         return self.mismatch_countries.get("US", 0) / total if total else 0.0
 
 
+@dataclass
 class GeoIpComparison:
     """Aggregate geolocation results across the study."""
 
-    def __init__(self) -> None:
-        self._rows: dict[str, GeoIpComparisonRow] = {}
-        self.providers_affected: set[str] = set()
-        self._providers_seen: set[str] = set()
+    _rows: dict[str, GeoIpComparisonRow] = field(
+        default_factory=dict, metadata={"key": "rows"}
+    )
+    providers_affected: set[str] = field(default_factory=set)
+    _providers_seen: set[str] = field(
+        default_factory=set, metadata={"key": "providers_seen"}
+    )
 
     def ingest(self, provider: str, result: GeolocationResult) -> None:
         self._providers_seen.add(provider)
@@ -81,41 +86,16 @@ class GeoIpComparison:
         )
 
     # ------------------------------------------------------------------
-    # Serialisation (part of StudyReport.to_dict round-trip)
+    # Serialisation: the rows travel as one list sorted by database
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "database": row.database,
-                    "compared": row.compared,
-                    "estimates": row.estimates,
-                    "agreements": row.agreements,
-                    "mismatch_countries": dict(
-                        sorted(row.mismatch_countries.items())
-                    ),
-                }
-                for row in self.rows()
-            ],
-            "providers_affected": sorted(self.providers_affected),
-            "providers_seen": sorted(self._providers_seen),
-        }
+        return {**to_jsonable(self), "rows": to_jsonable(self.rows())}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeoIpComparison":
-        comparison = cls()
-        for entry in data.get("rows", []):
-            comparison._rows[entry["database"]] = GeoIpComparisonRow(
-                database=entry["database"],
-                compared=entry["compared"],
-                estimates=entry["estimates"],
-                agreements=entry["agreements"],
-                mismatch_countries=Counter(
-                    entry.get("mismatch_countries", {})
-                ),
-            )
-        comparison.providers_affected = set(
-            data.get("providers_affected", [])
-        )
-        comparison._providers_seen = set(data.get("providers_seen", []))
+        comparison = from_jsonable(cls, {**data, "rows": {}})
+        for row in from_jsonable(
+            list[GeoIpComparisonRow], data.get("rows", [])
+        ):
+            comparison._rows[row.database] = row
         return comparison

@@ -37,11 +37,11 @@ class RedirectRow:
         return len(self.providers)
 
 
+@dataclass
 class RedirectAnalysis:
     """Aggregate suspicious redirects across the whole study."""
 
-    def __init__(self) -> None:
-        self.observations: list[SuspiciousRedirect] = []
+    observations: list[SuspiciousRedirect] = field(default_factory=list)
 
     def ingest(
         self,
@@ -84,28 +84,3 @@ class RedirectAnalysis:
 
     def providers_with_redirects(self) -> set[str]:
         return {obs.provider for obs in self.observations}
-
-    # ------------------------------------------------------------------
-    # Serialisation (part of StudyReport.to_dict round-trip)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "observations": [
-                {
-                    "provider": obs.provider,
-                    "vantage_country": obs.vantage_country,
-                    "requested_url": obs.requested_url,
-                    "destination_origin": obs.destination_origin,
-                }
-                for obs in self.observations
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RedirectAnalysis":
-        analysis = cls()
-        analysis.observations = [
-            SuspiciousRedirect(**entry)
-            for entry in data.get("observations", [])
-        ]
-        return analysis

@@ -13,7 +13,7 @@ From the set of (provider, endpoint address) pairs the study observed:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.net.addresses import IPv4Address, IPv4Network, parse_address
 
@@ -39,11 +39,13 @@ class SharedBlockRow:
         return len(self.providers)
 
 
+@dataclass
 class SharedInfraAnalysis:
     """Cross-provider address-space overlap."""
 
-    def __init__(self) -> None:
-        self._records: list[EndpointRecord] = []
+    _records: list[EndpointRecord] = field(
+        default_factory=list, metadata={"key": "records"}
+    )
 
     def ingest(self, provider: str, address: str, block: str, asn: int) -> None:
         self._records.append(
@@ -124,30 +126,6 @@ class SharedInfraAnalysis:
         blocks_a = {r.block for r in self._records if r.provider == provider_a}
         blocks_b = {r.block for r in self._records if r.provider == provider_b}
         return sorted(blocks_a & blocks_b)
-
-    # ------------------------------------------------------------------
-    # Serialisation (part of StudyReport.to_dict round-trip)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "records": [
-                {
-                    "provider": r.provider,
-                    "address": r.address,
-                    "block": r.block,
-                    "asn": r.asn,
-                }
-                for r in self._records
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SharedInfraAnalysis":
-        analysis = cls()
-        analysis._records = [
-            EndpointRecord(**entry) for entry in data.get("records", [])
-        ]
-        return analysis
 
     def membership_in(self, prefixes: list[str]) -> dict[str, set[str]]:
         """prefix -> providers with an endpoint inside it.

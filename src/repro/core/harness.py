@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.codec import from_jsonable, to_jsonable
 from repro.core.analysis.colocation import (
     ColocationAnalysis,
     ColocationReport,
@@ -28,6 +29,7 @@ from repro.core.analysis.colocation import (
 from repro.core.analysis.geoip_compare import GeoIpComparison
 from repro.core.analysis.redirects import RedirectAnalysis
 from repro.core.analysis.shared_infra import SharedInfraAnalysis
+from repro.core.archive import study_manifest
 from repro.core.infrastructure.dns_origin import DnsOriginTest
 from repro.core.infrastructure.geolocation import GeolocationTest
 from repro.core.infrastructure.ping_traceroute import PingTracerouteTest
@@ -45,6 +47,7 @@ from repro.core.manipulation.tls_interception import TlsInterceptionTest
 from repro.core.metadata import MetadataTest
 from repro.core.p2p import P2pDetection
 from repro.core.results import VantagePointResults
+from repro.obs.evidence import EvidenceChain
 from repro.runtime.retry import RetryPolicy
 from repro.vpn.client import VpnClient
 from repro.vpn.provider import ClientType, VantagePoint, VpnProvider
@@ -261,38 +264,28 @@ class ProviderReport:
     # Serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        from repro.core.results import _jsonable
-
-        out = _jsonable(self)
-        evidence = {
-            hostname: {
-                name: chain.to_dict() for name, chain in chains.items()
-            }
-            for hostname, chains in self.evidence_chains().items()
-        }
+        """The codec's form plus an ``evidence`` side map (when traced):
+        hostname -> test field -> chain."""
+        out = to_jsonable(self)
+        evidence = to_jsonable(self.evidence_chains())
         if evidence:
             out["evidence"] = evidence
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProviderReport":
-        from repro.core.results import _hydrate
-        from repro.obs.evidence import EvidenceChain
-
-        report = _hydrate(cls, data)
+        report = from_jsonable(cls, data)
+        evidence = from_jsonable(
+            dict[str, dict[str, EvidenceChain]], data.get("evidence") or {}
+        )
         by_hostname = {
             results.hostname: results
             for results in report.full_results + report.sweep_results
         }
-        for hostname, chains in (data.get("evidence") or {}).items():
+        for hostname, chains in evidence.items():
             results = by_hostname.get(hostname)
             if results is not None:
-                results.attach_evidence(
-                    {
-                        name: EvidenceChain.from_dict(raw)
-                        for name, raw in chains.items()
-                    }
-                )
+                results.attach_evidence(chains)
         return report
 
 
@@ -305,33 +298,19 @@ class StudyReport:
     geoip: GeoIpComparison = field(default_factory=GeoIpComparison)
     shared_infra: SharedInfraAnalysis = field(default_factory=SharedInfraAnalysis)
 
+    # The three headline sets are the study manifest's, whose one rule
+    # (``core.archive.manifest_from_verdicts``) every archive also uses.
     @property
     def providers_intercepting_or_manipulating(self) -> set[str]:
-        out = set()
-        for name, report in self.providers.items():
-            if (
-                report.injection_detected
-                or report.proxy_detected
-                or report.tls_interception_detected
-            ):
-                out.add(name)
-        return out
+        return set(study_manifest(self)["intercepting"])
 
     @property
     def providers_failing_open(self) -> set[str]:
-        return {
-            name
-            for name, report in self.providers.items()
-            if report.fails_open
-        }
+        return set(study_manifest(self)["failing_open"])
 
     @property
     def providers_misrepresenting_locations(self) -> set[str]:
-        return {
-            name
-            for name, report in self.providers.items()
-            if report.misrepresents_locations
-        }
+        return set(study_manifest(self)["misrepresenting"])
 
     def summary(self) -> str:
         total = len(self.providers)
@@ -352,37 +331,6 @@ class StudyReport:
                 f" agree ({row.agreement_rate:.0%})"
             )
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    # Serialisation: a stable dict form that round-trips exactly
-    # (``StudyReport.from_dict(report.to_dict())`` re-serialises to the
-    # same dict), so a whole study can be archived and reloaded as one
-    # typed object rather than via the per-file archive format only.
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "providers": {
-                name: report.to_dict()
-                for name, report in self.providers.items()
-            },
-            "redirects": self.redirects.to_dict(),
-            "geoip": self.geoip.to_dict(),
-            "shared_infra": self.shared_infra.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StudyReport":
-        study = cls()
-        for name, raw in data.get("providers", {}).items():
-            study.providers[name] = ProviderReport.from_dict(raw)
-        study.redirects = RedirectAnalysis.from_dict(
-            data.get("redirects", {})
-        )
-        study.geoip = GeoIpComparison.from_dict(data.get("geoip", {}))
-        study.shared_infra = SharedInfraAnalysis.from_dict(
-            data.get("shared_infra", {})
-        )
-        return study
 
 
 class TestSuite:

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import types
-import typing
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-# Real (not TYPE_CHECKING) import: _hydrate resolves field annotations at
+from repro.codec import from_jsonable, to_jsonable
+
+# Real (not TYPE_CHECKING) import: the codec resolves field annotations at
 # runtime via typing.get_type_hints, so EvidenceChain must exist in this
 # module's namespace.  The dependency is acyclic — obs.evidence imports
 # nothing from repro.core.
@@ -24,7 +24,7 @@ from repro.obs.evidence import EvidenceChain
 def _evidence_field() -> Any:
     """An attached-evidence slot, excluded from the study archive.
 
-    ``metadata={"archive": False}`` makes ``_jsonable`` skip the field, so
+    ``metadata={"archive": False}`` makes the codec skip the field, so
     archived per-vantage-point JSON (and its golden fingerprint) is
     byte-identical whether or not a trace — and therefore evidence — was
     collected.  Evidence instead travels via ``ProviderReport.to_dict``.
@@ -315,7 +315,7 @@ class VantagePointResults:
     p2p: Optional[P2pResult] = None
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self), indent=2, sort_keys=True)
+        return json.dumps(to_jsonable(self), indent=2, sort_keys=True)
 
     # ------------------------------------------------------------------
     # Attached evidence (never archived; rides in ProviderReport.to_dict)
@@ -338,10 +338,6 @@ class VantagePointResults:
                 result.evidence = chain
 
     @classmethod
-    def from_jsonable(cls, data: dict[str, Any]) -> "VantagePointResults":
-        return _hydrate(cls, data)
-
-    @classmethod
     def from_json(cls, text: str) -> "VantagePointResults":
         """Inverse of :meth:`to_json`.
 
@@ -349,62 +345,4 @@ class VantagePointResults:
         re-serialising it reproduces the original bytes, which is what lets
         study checkpoints and final archives share one format.
         """
-        return cls.from_jsonable(json.loads(text))
-
-
-def _jsonable(obj: Any) -> Any:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # Fields marked archive=False (attached evidence) never reach the
-        # archive: its bytes must not depend on whether obs was enabled.
-        return {
-            f.name: _jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if f.metadata.get("archive", True)
-        }
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def _hydrate(annotation: Any, value: Any) -> Any:
-    """Rebuild a typed value from its JSON form, per the field annotation.
-
-    JSON flattens tuples to lists and drops dataclass identity; this walks
-    the annotations of the result records to restore both, so hydrated
-    results compare equal to the originals (and re-serialise identically).
-    """
-    if value is None:
-        return None
-    origin = typing.get_origin(annotation)
-    args = typing.get_args(annotation)
-    if origin is typing.Union or origin is types.UnionType:  # Optional[T]
-        for candidate in args:
-            if candidate is type(None):
-                continue
-            return _hydrate(candidate, value)
-        return value
-    if dataclasses.is_dataclass(annotation) and isinstance(value, dict):
-        hints = typing.get_type_hints(annotation)
-        kwargs = {
-            f.name: _hydrate(hints[f.name], value[f.name])
-            for f in dataclasses.fields(annotation)
-            if f.name in value
-        }
-        return annotation(**kwargs)
-    if origin is list:
-        item = args[0] if args else Any
-        return [_hydrate(item, v) for v in value]
-    if origin is tuple:
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_hydrate(args[0], v) for v in value)
-        if args:
-            return tuple(
-                _hydrate(a, v) for a, v in zip(args, value)
-            )
-        return tuple(value)
-    if origin is dict:
-        value_type = args[1] if len(args) == 2 else Any
-        return {k: _hydrate(value_type, v) for k, v in value.items()}
-    return value
+        return from_jsonable(cls, json.loads(text))

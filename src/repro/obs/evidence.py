@@ -44,17 +44,6 @@ class EvidenceLink:
     kind: str  # the linked record's kind, e.g. "packet_send"
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"span_id": self.span_id, "kind": self.kind, "note": self.note}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvidenceLink":
-        return cls(
-            span_id=data["span_id"],
-            kind=data["kind"],
-            note=data.get("note", ""),
-        )
-
 
 @dataclass
 class EvidenceChain:
@@ -89,28 +78,6 @@ class EvidenceChain:
             if span in wanted:
                 found[span] = record
         return found
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "vantage": self.vantage,
-            "test_span_id": self.test_span_id,
-            "links": [link.to_dict() for link in self.links],
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvidenceChain":
-        return cls(
-            verdict=data["verdict"],
-            vantage=data["vantage"],
-            test_span_id=data["test_span_id"],
-            links=[
-                EvidenceLink.from_dict(raw) for raw in data.get("links", [])
-            ],
-            notes=list(data.get("notes", [])),
-        )
 
     # ------------------------------------------------------------------
     def render(

@@ -17,11 +17,12 @@ two-hour study); the bus keeps the first error for inspection.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TextIO
+
+from repro.codec import from_jsonable, to_jsonable
 
 
 # ----------------------------------------------------------------------
@@ -201,25 +202,20 @@ def event_to_dict(event: Event) -> Optional[dict]:
     name = type(event).__name__
     if name not in _EVENT_TYPES:
         return None
-    data = dataclasses.asdict(event)
-    data["event"] = name
-    return data
+    return {**to_jsonable(event), "event": name}
 
 
 def event_from_dict(data: dict) -> Optional[Event]:
     """Rebuild a typed event from :func:`event_to_dict` output.
 
     Returns None for unknown event names, so newer daemons can stream
-    event types an older client does not know about.
+    event types an older client does not know about (the codec likewise
+    ignores fields it does not know, such as the stream's ``seq``).
     """
-    payload = dict(data)
-    payload.pop("seq", None)
-    name = payload.pop("event", None)
-    cls = _EVENT_TYPES.get(name)
+    cls = _EVENT_TYPES.get(data.get("event"))
     if cls is None:
         return None
-    fields = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{k: v for k, v in payload.items() if k in fields})
+    return from_jsonable(cls, data)
 
 
 class EventBus:

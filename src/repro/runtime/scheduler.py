@@ -26,6 +26,7 @@ from concurrent import futures
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.codec import from_jsonable, to_jsonable
 from repro.runtime import events as ev
 from repro.runtime.executor import StudyExecutor, StudyInterrupted
 from repro.runtime.retry import RetryPolicy, stable_hash
@@ -85,23 +86,6 @@ class VerdictChange:
             f"{self.before!r} -> {self.after!r}"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "provider": self.provider,
-            "verdict": self.verdict,
-            "before": self.before,
-            "after": self.after,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerdictChange":
-        return cls(
-            provider=data["provider"],
-            verdict=data["verdict"],
-            before=data.get("before"),
-            after=data.get("after"),
-        )
-
 
 @dataclass
 class SnapshotDiff:
@@ -116,26 +100,6 @@ class SnapshotDiff:
     def is_empty(self) -> bool:
         return not (
             self.changes or self.providers_added or self.providers_removed
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "changes": [change.to_dict() for change in self.changes],
-            "providers_added": list(self.providers_added),
-            "providers_removed": list(self.providers_removed),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SnapshotDiff":
-        return cls(
-            index=data["index"],
-            changes=[
-                VerdictChange.from_dict(raw)
-                for raw in data.get("changes", ())
-            ],
-            providers_added=list(data.get("providers_added", ())),
-            providers_removed=list(data.get("providers_removed", ())),
         )
 
 
@@ -187,30 +151,15 @@ class SnapshotRecord:
     archive_dir: Optional[pathlib.Path] = None
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.spec.index,
-            "seed": self.spec.seed,
-            "max_vantage_points": self.spec.max_vantage_points,
-            "verdicts": self.verdicts,
-            "archive_dir": (
-                str(self.archive_dir) if self.archive_dir is not None else None
-            ),
-        }
+        """The spec's fields flattened beside the verdicts."""
+        out = to_jsonable(self)
+        return {**out.pop("spec"), **out}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SnapshotRecord":
-        archive_dir = data.get("archive_dir")
-        return cls(
-            spec=SnapshotSpec(
-                index=data["index"],
-                seed=data["seed"],
-                max_vantage_points=data.get("max_vantage_points"),
-            ),
-            verdicts=data.get("verdicts", {}),
-            archive_dir=(
-                pathlib.Path(archive_dir) if archive_dir is not None else None
-            ),
-        )
+        # The flat dict carries the spec's keys too; the codec ignores
+        # the keys a class does not declare.
+        return from_jsonable(cls, {**data, "spec": data})
 
 
 @dataclass
@@ -233,26 +182,9 @@ class LongitudinalReport:
         return not self.changed_snapshots
 
     def to_dict(self) -> dict:
-        """Stable JSON form (the shape ``repro.serve`` stores and serves)."""
-        return {
-            "snapshots": [record.to_dict() for record in self.snapshots],
-            "diffs": [diff.to_dict() for diff in self.diffs],
-            "interrupted": self.interrupted,
-            "stable": self.is_stable,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LongitudinalReport":
-        return cls(
-            snapshots=[
-                SnapshotRecord.from_dict(raw)
-                for raw in data.get("snapshots", ())
-            ],
-            diffs=[
-                SnapshotDiff.from_dict(raw) for raw in data.get("diffs", ())
-            ],
-            interrupted=bool(data.get("interrupted", False)),
-        )
+        """The codec's form plus the derived ``stable`` flag (the shape
+        ``repro.serve`` stores and serves)."""
+        return {**to_jsonable(self), "stable": self.is_stable}
 
     def summary(self) -> str:
         lines = [

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
+from repro.codec import from_jsonable, to_jsonable
 from repro.runtime.retry import stable_hash
 
 if TYPE_CHECKING:
@@ -94,11 +95,12 @@ class StudyPlan:
     seed: int
     max_vantage_points: int | None
     providers: list[str] = field(default_factory=list)
-    units: list[AuditUnit] = field(default_factory=list)
     #: Extra compatibility marker for non-catalogue studies (a generated
     #: source's parameters); None for catalogue/explicit studies so their
-    #: fingerprints — and existing checkpoints — stay unchanged.
+    #: fingerprints — and existing checkpoints — stay unchanged.  Declared
+    #: before ``units`` because field order is ``plan.json``'s key order.
     source_key: str | None = None
+    units: list[AuditUnit] = field(default_factory=list)
 
     @property
     def total_vantage_points(self) -> int:
@@ -112,46 +114,11 @@ class StudyPlan:
     # can refuse to mix incompatible studies).
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "max_vantage_points": self.max_vantage_points,
-                "providers": self.providers,
-                "source_key": self.source_key,
-                "units": [
-                    {
-                        "provider": u.provider,
-                        "kind": u.kind.value,
-                        "hostnames": list(u.hostnames),
-                        "seed": u.seed,
-                        "shard": u.shard,
-                    }
-                    for u in self.units
-                ],
-            },
-            indent=2,
-        )
+        return json.dumps(to_jsonable(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "StudyPlan":
-        raw = json.loads(text)
-        plan = cls(
-            seed=raw["seed"],
-            max_vantage_points=raw["max_vantage_points"],
-            providers=list(raw["providers"]),
-            source_key=raw.get("source_key"),
-        )
-        for entry in raw["units"]:
-            plan.units.append(
-                AuditUnit(
-                    provider=entry["provider"],
-                    kind=UnitKind(entry["kind"]),
-                    hostnames=tuple(entry["hostnames"]),
-                    seed=entry["seed"],
-                    shard=entry.get("shard", 0),
-                )
-            )
-        return plan
+        return from_jsonable(cls, json.loads(text))
 
     def fingerprint(self) -> str:
         """Compatibility key for checkpoint validation.

@@ -41,6 +41,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.jobs import UnknownJobError
 from repro.serve.protocol import (
+    PROTOCOL_VERSION,
     ErrorReply,
     JobRequest,
     ProtocolError,
@@ -110,7 +111,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 self._reply(
                     200,
                     {
-                        "version": 1,
+                        "version": PROTOCOL_VERSION,
                         "jobs": [
                             reply.to_dict()
                             for reply in self.daemon_ref.list_jobs()

@@ -2,10 +2,12 @@
 
 Every payload that crosses the daemon's HTTP boundary — job submissions,
 status views, error replies — is a frozen dataclass here with a versioned
-``to_dict`` / ``from_dict`` round-trip.  Schema first: the daemon, the
-Python client, the CLI and the tests all build and parse exactly these
-shapes, so a field added here is a field everywhere (and an unknown
-protocol version fails loudly at the edge instead of corrupting a job).
+``to_dict`` / ``from_dict`` round-trip: :mod:`repro.codec` plus the
+``version`` stamp.  Schema first: the daemon, the Python client, the CLI
+and the tests all build and parse exactly these shapes, so a field added
+here is a field everywhere.  An unknown protocol version, or a value of
+the wrong type, fails loudly at the edge as a :class:`ProtocolError`
+naming the field, instead of corrupting a job.
 
 Jobs are typed by :class:`JobKind`:
 
@@ -26,9 +28,11 @@ them onto one job.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.codec import CodecError, from_jsonable, to_jsonable
 from repro.config import StudyConfig
 from repro.runtime.retry import stable_hash
 
@@ -48,13 +52,37 @@ class ProtocolError(ValueError):
     """A payload that does not parse as this protocol version."""
 
 
-def _check_version(data: dict, payload: str) -> None:
-    version = data.get("version", PROTOCOL_VERSION)
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(
-            f"{payload} has protocol version {version!r}, "
-            f"this daemon speaks {PROTOCOL_VERSION}"
-        )
+class _Payload:
+    """The one wire difference of every payload: the ``version`` stamp.
+
+    ``to_dict`` is the codec's form with ``version`` added; ``from_dict``
+    checks the version, then decodes with the codec, turning any type
+    mismatch into a :class:`ProtocolError` that names the payload and the
+    field (``bad job request: priority: expected int, got str``).  Nested
+    payloads (a record's request, a status reply's record) go through
+    the same pair, so they carry and check their own stamp.
+    """
+
+    def to_dict(self) -> dict:
+        return {"version": PROTOCOL_VERSION, **to_jsonable(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        name = re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower()
+        if not isinstance(data, dict):
+            raise ProtocolError(
+                f"{name} must be a JSON object, got {type(data).__name__}"
+            )
+        version = data.get("version", PROTOCOL_VERSION)
+        if type(version) is not int or version not in SUPPORTED_VERSIONS:
+            raise ProtocolError(
+                f"{name} has protocol version {version!r}, "
+                f"this daemon speaks {PROTOCOL_VERSION}"
+            )
+        try:
+            return from_jsonable(cls, data)
+        except CodecError as exc:
+            raise ProtocolError(f"bad {name}: {exc}") from exc
 
 
 class JobKind(enum.Enum):
@@ -81,7 +109,7 @@ TERMINAL_STATES = frozenset(
 # Requests
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class JobRequest:
+class JobRequest(_Payload):
     """What a client asks the daemon to run."""
 
     kind: JobKind
@@ -90,8 +118,6 @@ class JobRequest:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, JobKind):
-            object.__setattr__(self, "kind", JobKind(self.kind))
         if not isinstance(self.config, StudyConfig):
             raise TypeError("config must be a StudyConfig")
         if self.config.stream:
@@ -120,48 +146,15 @@ class JobRequest:
         Priority and label are presentation, not work — excluded on
         purpose.
         """
-        config = self.config.to_dict()
+        config = to_jsonable(self.config)
         return f"{stable_hash(self.kind.value, repr(sorted(config.items()))):016x}"
-
-    def to_dict(self) -> dict:
-        return {
-            "version": PROTOCOL_VERSION,
-            "kind": self.kind.value,
-            "config": self.config.to_dict(),
-            "priority": self.priority,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobRequest":
-        _check_version(data, "job request")
-        try:
-            kind = JobKind(data["kind"])
-        except (KeyError, ValueError) as exc:
-            raise ProtocolError(
-                f"unknown job kind {data.get('kind')!r}; expected one of "
-                f"{[k.value for k in JobKind]}"
-            ) from exc
-        raw_config = data.get("config")
-        if not isinstance(raw_config, dict):
-            raise ProtocolError("job request needs a 'config' object")
-        try:
-            config = StudyConfig.from_dict(raw_config)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad study config: {exc}") from exc
-        return cls(
-            kind=kind,
-            config=config,
-            priority=int(data.get("priority", 0)),
-            label=data.get("label"),
-        )
 
 
 # ----------------------------------------------------------------------
 # Job records (persisted by the store, served by GET /jobs/{id})
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class JobRecord:
+class JobRecord(_Payload):
     """One job's durable identity and state.
 
     Frozen: state transitions produce a new record via :meth:`advance`,
@@ -177,10 +170,6 @@ class JobRecord:
     #: Final execution counters, filled at the terminal transition
     #: (live counters come from the scheduler while running).
     progress: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.state, JobState):
-            object.__setattr__(self, "state", JobState(self.state))
 
     @property
     def terminal(self) -> bool:
@@ -201,111 +190,38 @@ class JobRecord:
             progress=progress if progress is not None else self.progress,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "version": PROTOCOL_VERSION,
-            "job_id": self.job_id,
-            "request": self.request.to_dict(),
-            "state": self.state.value,
-            "sequence": self.sequence,
-            "error": self.error,
-            "progress": dict(self.progress),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobRecord":
-        _check_version(data, "job record")
-        return cls(
-            job_id=data["job_id"],
-            request=JobRequest.from_dict(data["request"]),
-            state=JobState(data["state"]),
-            sequence=int(data.get("sequence", 0)),
-            error=data.get("error"),
-            progress=dict(data.get("progress") or {}),
-        )
-
 
 # ----------------------------------------------------------------------
 # Responses
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SubmitReply:
+class SubmitReply(_Payload):
     """Answer to ``POST /jobs``."""
 
     job_id: str
     state: JobState
     deduplicated: bool = False
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.state, JobState):
-            object.__setattr__(self, "state", JobState(self.state))
-
-    def to_dict(self) -> dict:
-        return {
-            "version": PROTOCOL_VERSION,
-            "job_id": self.job_id,
-            "state": self.state.value,
-            "deduplicated": self.deduplicated,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SubmitReply":
-        _check_version(data, "submit reply")
-        return cls(
-            job_id=data["job_id"],
-            state=JobState(data["state"]),
-            deduplicated=bool(data.get("deduplicated", False)),
-        )
-
 
 @dataclass(frozen=True)
-class JobStatusReply:
+class JobStatusReply(_Payload):
     """Answer to ``GET /jobs/{id}``: the record plus live progress."""
 
-    record: JobRecord
+    record: JobRecord = field(metadata={"key": "job"})
     progress: dict = field(default_factory=dict)
     results: tuple[str, ...] = ()  # fetchable result names, e.g. "report"
 
-    def to_dict(self) -> dict:
-        return {
-            "version": PROTOCOL_VERSION,
-            "job": self.record.to_dict(),
-            "progress": dict(self.progress),
-            "results": list(self.results),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobStatusReply":
-        _check_version(data, "job status reply")
-        return cls(
-            record=JobRecord.from_dict(data["job"]),
-            progress=dict(data.get("progress") or {}),
-            results=tuple(data.get("results") or ()),
-        )
-
 
 @dataclass(frozen=True)
-class ErrorReply:
+class ErrorReply(_Payload):
     """Any non-2xx body."""
 
     error: str
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "version": PROTOCOL_VERSION,
-            "error": self.error,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ErrorReply":
-        _check_version(data, "error reply")
-        return cls(error=data["error"], detail=data.get("detail", ""))
-
 
 @dataclass(frozen=True)
-class EventsReply:
+class EventsReply(_Payload):
     """Answer to ``GET /jobs/{id}/events?since=N&wait=S``.
 
     ``events`` are wire-form bus events (``event`` key names the type,
@@ -320,58 +236,16 @@ class EventsReply:
     events: tuple[dict, ...] = ()
     next: int = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.state, JobState):
-            object.__setattr__(self, "state", JobState(self.state))
-
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    def to_dict(self) -> dict:
-        return {
-            "version": PROTOCOL_VERSION,
-            "job_id": self.job_id,
-            "state": self.state.value,
-            "events": list(self.events),
-            "next": self.next,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EventsReply":
-        _check_version(data, "events reply")
-        return cls(
-            job_id=data["job_id"],
-            state=JobState(data["state"]),
-            events=tuple(data.get("events") or ()),
-            next=int(data.get("next", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class TraceQueryReply:
+class TraceQueryReply(_Payload):
     """Answer to ``GET /trace/query``."""
 
     job_id: str
     expression: str
     matches: tuple[dict, ...]
     total_records: int
-
-    def to_dict(self) -> dict:
-        return {
-            "version": PROTOCOL_VERSION,
-            "job_id": self.job_id,
-            "expression": self.expression,
-            "matches": list(self.matches),
-            "total_records": self.total_records,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceQueryReply":
-        _check_version(data, "trace query reply")
-        return cls(
-            job_id=data["job_id"],
-            expression=data["expression"],
-            matches=tuple(data.get("matches") or ()),
-            total_records=int(data.get("total_records", 0)),
-        )

@@ -11,7 +11,7 @@ memory:
         job.json                      # JobRecord (state machine, durable)
         checkpoint/                   # CheckpointStore (crash-resume)
         archive/                      # the byte-exact study archive
-        report.json                   # StudyReport.to_dict()
+        report.json                   # to_jsonable(StudyReport)
         evidence.json                 # explain_document() per provider
         metrics.json                  # merged MetricsRegistry snapshot
         trace.jsonl                   # span trace (when the job traced)
@@ -30,6 +30,7 @@ import json
 import pathlib
 from typing import TYPE_CHECKING, Optional
 
+from repro.codec import to_jsonable
 from repro.serve.protocol import (
     JobRecord,
     JobRequest,
@@ -138,7 +139,9 @@ class ResultStore:
         archive_root = write_study_archive(report, self.archive_dir(record.job_id))
         fingerprint = archive_fingerprint(archive_root)
 
-        self._write_json(directory / RESULT_FILES["report"], report.to_dict())
+        self._write_json(
+            directory / RESULT_FILES["report"], to_jsonable(report)
+        )
         self._write_json(
             directory / RESULT_FILES["evidence"],
             {

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
+
+from repro.codec import from_jsonable, to_jsonable
 
 if TYPE_CHECKING:
     from repro.ecosystem.generate import ProviderSource
@@ -202,34 +204,13 @@ class StudySource:
         return "full 62-provider catalogue"
 
     # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        out: dict = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name == "providers" and value is not None:
-                value = list(value)
-            out[spec.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StudySource":
-        known = {spec.name for spec in fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        providers = kwargs.get("providers")
-        if providers is not None:
-            kwargs["providers"] = tuple(providers)
-        return cls(**kwargs)
-
-    # ------------------------------------------------------------------
     # Spec files (what ``repro ecosystem generate --out`` emits)
     # ------------------------------------------------------------------
     def spec_dict(self) -> dict:
         return {
             "format": SPEC_FORMAT,
             "spec_version": SPEC_VERSION,
-            "source": self.to_dict(),
+            "source": to_jsonable(self),
         }
 
     def write_spec(self, path: str | pathlib.Path) -> pathlib.Path:
@@ -254,7 +235,7 @@ class StudySource:
                 f"{path} has spec version {raw.get('spec_version')!r}; "
                 f"this build reads {SPEC_VERSION}"
             )
-        return cls.from_dict(raw.get("source") or {})
+        return from_jsonable(cls, raw.get("source") or {})
 
     # ------------------------------------------------------------------
     # CLI parsing: --source catalog | generated:N[:SEED[:VPS]] | spec path

@@ -99,12 +99,14 @@ class TestEvidenceChains:
         rebuilt = ProviderReport.from_dict(
             json.loads(json.dumps(data, sort_keys=True))
         )
+        from repro.codec import to_jsonable
+
         original = {
-            host: {name: chain.to_dict() for name, chain in chains.items()}
+            host: {name: to_jsonable(chain) for name, chain in chains.items()}
             for host, chains in report.evidence_chains().items()
         }
         restored = {
-            host: {name: chain.to_dict() for name, chain in chains.items()}
+            host: {name: to_jsonable(chain) for name, chain in chains.items()}
             for host, chains in rebuilt.evidence_chains().items()
         }
         assert restored == original
@@ -182,10 +184,12 @@ class TestEvidenceChainUnit:
             ],
             notes=["one API-level note"],
         )
-        rebuilt = EvidenceChain.from_dict(
-            json.loads(json.dumps(chain.to_dict()))
+        from repro.codec import from_jsonable, to_jsonable
+
+        rebuilt = from_jsonable(
+            EvidenceChain, json.loads(json.dumps(to_jsonable(chain)))
         )
-        assert rebuilt.to_dict() == chain.to_dict()
+        assert to_jsonable(rebuilt) == to_jsonable(chain)
         assert rebuilt.span_ids == [
             "cccccccccccccccc",
             "dddd000000000006",

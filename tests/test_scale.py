@@ -129,6 +129,7 @@ class TestStudySource:
             StudySource.generated(10, vantage_points=0)
 
     def test_dict_round_trip(self):
+        from repro.codec import from_jsonable, to_jsonable
         from repro.source import StudySource
 
         for source in (
@@ -136,7 +137,7 @@ class TestStudySource:
             StudySource.explicit(PROVIDERS),
             StudySource.generated(500, generator_seed=9, vantage_points=6),
         ):
-            assert StudySource.from_dict(source.to_dict()) == source
+            assert from_jsonable(StudySource, to_jsonable(source)) == source
 
     def test_spec_round_trip_and_version_gate(self, tmp_path):
         from repro.source import StudySource
@@ -164,6 +165,7 @@ class TestStudySource:
         )
 
     def test_config_round_trip(self):
+        from repro.codec import from_jsonable, to_jsonable
         from repro.config import StudyConfig
         from repro.source import StudySource
 
@@ -171,7 +173,7 @@ class TestStudySource:
             source=StudySource.generated(300, generator_seed=1),
             shards=4,
         )
-        back = StudyConfig.from_dict(config.to_dict())
+        back = from_jsonable(StudyConfig, to_jsonable(config))
         assert back == config
         assert back.source.count == 300
         with pytest.raises(ValueError):

@@ -121,6 +121,80 @@ class TestProtocol:
         assert a.fingerprint() != c.fingerprint()
 
 
+_CONFIG = {"providers": ["Seed4.me"], "max_vantage_points": 1}
+
+#: Submissions whose values have the wrong JSON type, and the field each
+#: rejection must name.
+MISTYPED_SUBMISSIONS = {
+    "priority-string": (
+        {"kind": "study", "config": _CONFIG, "priority": "high"}, "priority"
+    ),
+    "priority-null": (
+        {"kind": "study", "config": _CONFIG, "priority": None}, "priority"
+    ),
+    "array-body": ([{"kind": "study", "config": _CONFIG}], "JSON object"),
+    "providers-string": (
+        {"kind": "study", "config": {"providers": "Seed4.me"}},
+        "config.providers",
+    ),
+    "workers-float": (
+        {"kind": "study", "config": dict(_CONFIG, workers=2.5)},
+        "config.workers",
+    ),
+    "label-list": (
+        {"kind": "study", "config": _CONFIG, "label": ["x"]}, "label"
+    ),
+}
+
+
+class TestMistypedSubmissions:
+    """A mistyped submission is a ProtocolError naming the field — and an
+    HTTP 400 ``bad_request`` — never a traceback or a silent coercion."""
+
+    @pytest.mark.parametrize(
+        "payload,field", MISTYPED_SUBMISSIONS.values(),
+        ids=list(MISTYPED_SUBMISSIONS),
+    )
+    def test_rejected_naming_the_field(self, payload, field):
+        from repro.serve.protocol import JobRequest, ProtocolError
+
+        with pytest.raises(ProtocolError, match=field.replace(".", r"\.")):
+            JobRequest.from_dict(json.loads(json.dumps(payload)))
+
+    def test_live_post_gets_400_bad_request(self):
+        import http.client
+
+        from repro.serve.httpapi import build_server
+
+        class IdleDaemon:
+            draining = False
+
+            def log_http(self, line):
+                pass
+
+        server = build_server(IdleDaemon(), "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            for payload, field in MISTYPED_SUBMISSIONS.values():
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", server.server_address[1], timeout=10
+                )
+                conn.request(
+                    "POST", "/jobs", body=json.dumps(payload),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                conn.close()
+                assert response.status == 400
+                assert body["error"] == "bad_request"
+                assert field in body["detail"]
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
 # ----------------------------------------------------------------------
 # Queue
 # ----------------------------------------------------------------------

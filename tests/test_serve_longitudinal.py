@@ -71,9 +71,10 @@ class TestSchedulerStop:
         assert report.interrupted
         assert len(report.snapshots) == 1
         # Round-trip: what the store persists is reconstructible.
+        from repro.codec import from_jsonable
         from repro.runtime.scheduler import LongitudinalReport
 
-        parsed = LongitudinalReport.from_dict(report.to_dict())
+        parsed = from_jsonable(LongitudinalReport, report.to_dict())
         assert parsed.interrupted
         assert len(parsed.snapshots) == 1
         assert "[interrupted]" in report.summary()

@@ -44,6 +44,7 @@ class TestStudyConfig:
         assert (other.workers, other.backend) == (4, "process")
 
     def test_dict_round_trip_is_stable_and_jsonable(self):
+        from repro.codec import from_jsonable, to_jsonable
         from repro.config import StudyConfig
         from repro.obs.config import ObsConfig
 
@@ -54,14 +55,14 @@ class TestStudyConfig:
             checkpoint_dir="out/ck",
             obs=ObsConfig(trace=True, metrics=True, flight_recorder=8),
         )
-        data = config.to_dict()
+        data = to_jsonable(config)
         json.dumps(data)  # must be JSON-serialisable as-is
-        rebuilt = StudyConfig.from_dict(data)
+        rebuilt = from_jsonable(StudyConfig, data)
         assert rebuilt == config
-        assert rebuilt.to_dict() == data
+        assert to_jsonable(rebuilt) == data
         # Unknown keys (forward compatibility) are ignored.
         data["added_in_future_version"] = True
-        assert StudyConfig.from_dict(data) == config
+        assert from_jsonable(StudyConfig, data) == config
 
 
 class TestKwargsShim:
@@ -99,6 +100,7 @@ class TestKwargsShim:
 
     def test_run_full_study_shim_equivalence(self):
         api = self._fresh_api()
+        from repro.codec import to_jsonable
         from repro.config import StudyConfig
 
         with pytest.warns(DeprecationWarning):
@@ -108,7 +110,7 @@ class TestKwargsShim:
         via_config = api.run_full_study(
             StudyConfig(providers=["Seed4.me"], max_vantage_points=1)
         )
-        assert legacy.to_dict() == via_config.to_dict()
+        assert to_jsonable(legacy) == to_jsonable(via_config)
 
 
 class TestStudyReportRoundTrip:
@@ -123,12 +125,13 @@ class TestStudyReportRoundTrip:
         ).run()
 
     def test_to_dict_from_dict_round_trip(self, study):
+        from repro.codec import from_jsonable, to_jsonable
         from repro.core.harness import StudyReport
 
-        data = study.to_dict()
+        data = to_jsonable(study)
         json.dumps(data)  # stable, JSON-serialisable shape
-        rebuilt = StudyReport.from_dict(data)
-        assert rebuilt.to_dict() == data
+        rebuilt = from_jsonable(StudyReport, data)
+        assert to_jsonable(rebuilt) == data
         assert sorted(rebuilt.providers) == sorted(study.providers)
         for name, report in study.providers.items():
             clone = rebuilt.providers[name]
@@ -136,6 +139,7 @@ class TestStudyReportRoundTrip:
             assert clone.to_dict() == report.to_dict()
 
     def test_all_entry_points_return_same_report_type(self, study):
+        from repro.codec import to_jsonable
         from repro.config import StudyConfig
         from repro.core.harness import StudyReport
         from repro.api import run_full_study
@@ -146,7 +150,7 @@ class TestStudyReportRoundTrip:
                         max_vantage_points=2)
         )
         assert isinstance(via_api, StudyReport)
-        assert via_api.to_dict() == study.to_dict()
+        assert to_jsonable(via_api) == to_jsonable(study)
 
 
 class TestPublicSurface:
