@@ -12,11 +12,11 @@ affordable, and this module measures both claims:
   disabled path stays inside the <= 3% A/A gate
   (``bench_hot_path.py::test_obs_overhead_gate``) untouched;
 - **enabled**: stage *counts* are two dict operations per enter; the
-  ``perf_counter`` pairs only run for a deterministic 1-in-N sample of
-  sends (``stage_sample``, default 8).  That sampling is the difference
-  between a profiler you can leave on and one you cannot, and the gate
-  here holds the enabled mode to <= 5% over the uninstrumented
-  baseline.
+  stage ``perf_counter`` pairs only run for a deterministic 1-in-N
+  sample of sends (``stage_sample``, default 8).  Stage profiling also
+  opens the phase frames ``bench_profile.py`` gates (one profiler), so
+  this mode pays for both.  The gate here holds it to <= 5% over the
+  uninstrumented baseline.
 
 Protocol is the paired A/B from ``bench_profile.py``: modes interleave
 round-robin, overheads compare within a round, the gate takes the best

@@ -119,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument(
         "--profile-stages", action="store_true", dest="profile_stages",
-        help="attribute per-packet delivery cost to stages (route/firewall/"
-             "capture/latency/dispatch/encap) and print the table after "
-             "the study; sampled, deterministic, <=5%% overhead",
+        help="also attribute per-packet delivery cost to stages (route/"
+             "firewall/capture/latency/dispatch/encap), nested under the "
+             "delivery phase; implies --profile; sampled, deterministic",
     )
     study.add_argument(
         "--stage-sample", type=int, default=8, metavar="N",
@@ -586,16 +586,11 @@ def cmd_study(
     if ledger_path:
         print(f"ledger written to {ledger_path}")
     if study.obs_metrics:
-        if config.obs.profile:
-            from repro.obs.profile import render_phase_table
-
-            print("\nphase wall-clock attribution:")
-            print(render_phase_table(study.obs_metrics))
-        if config.obs.stage_profile:
-            from repro.obs.stages import render_stage_table
+        if config.obs.profile_enabled:
+            from repro.obs.profile import render_profile_table
 
             print()
-            print(render_stage_table(study.obs_metrics))
+            print(render_profile_table(study.obs_metrics))
         if config.obs.metrics or config.obs.metrics_path:
             from repro.obs.metrics import MetricsRegistry
 
@@ -746,14 +741,18 @@ def cmd_serve(args) -> int:
     from repro.config import ServeConfig
     from repro.serve.daemon import AuditDaemon
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        state_dir=args.state_dir,
-        workers=args.workers,
-        max_active_jobs=args.max_active_jobs,
-        keep_checkpoints=args.keep_checkpoints,
-    )
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            state_dir=args.state_dir,
+            workers=args.workers,
+            max_active_jobs=args.max_active_jobs,
+            keep_checkpoints=args.keep_checkpoints,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     log = None if args.quiet else (
         lambda message: print(f"repro-serve: {message}", file=sys.stderr)
     )
@@ -1104,32 +1103,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except ValueError as exc:
                 print(f"bad --source: {exc}", file=sys.stderr)
                 return 2
-        config = StudyConfig(
-            seed=args.seed,
-            providers=(
-                tuple(args.providers) if args.providers else None
-            ),
-            source=source,
-            shards=args.shards,
-            stream=args.stream,
-            max_vantage_points=args.max_vps,
-            workers=args.workers,
-            backend=args.backend,
-            checkpoint_dir=args.resume,
-            snapshots=args.snapshots,
-            progress=args.progress,
-            archive_dir=args.archive if args.stream else None,
-            obs=ObsConfig(
-                trace=bool(args.trace),
-                trace_path=args.trace,
-                metrics=args.metrics,
-                metrics_path=args.metrics_out,
-                flight_recorder=args.flight_recorder,
-                profile=args.profile,
-                stage_profile=args.profile_stages,
-                stage_sample=args.stage_sample,
-            ),
-        )
+        try:
+            config = StudyConfig(
+                seed=args.seed,
+                providers=(
+                    tuple(args.providers) if args.providers else None
+                ),
+                source=source,
+                shards=args.shards,
+                stream=args.stream,
+                max_vantage_points=args.max_vps,
+                workers=args.workers,
+                backend=args.backend,
+                checkpoint_dir=args.resume,
+                snapshots=args.snapshots,
+                progress=args.progress,
+                archive_dir=args.archive if args.stream else None,
+                obs=ObsConfig(
+                    trace=bool(args.trace),
+                    trace_path=args.trace,
+                    metrics=args.metrics,
+                    metrics_path=args.metrics_out,
+                    flight_recorder=args.flight_recorder,
+                    profile=args.profile,
+                    stage_profile=args.profile_stages,
+                    stage_sample=args.stage_sample,
+                ),
+            )
+        except ValueError as exc:
+            # An out-of-range flag (--workers 0, --stage-sample 0, ...).
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return cmd_study(
             config,
             args.archive,

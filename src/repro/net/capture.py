@@ -6,9 +6,9 @@ clock.  The leakage tests (paper Section 5.3.3) and the P2P analysis (Section
 6.6) work purely by scanning these captures, just as the real suite scanned
 tcpdump output on the hardware interface.
 
-When the stage profiler is on (``ObsConfig(stage_profile=True)``), time
-spent appending capture entries on the delivery hot paths is attributed to
-the ``capture`` stage (see ``repro.obs.stages``).
+When stage frames are on (``ObsConfig(stage_profile=True)``), time spent
+appending capture entries on the delivery hot paths is attributed to the
+profiler's ``capture`` stage (see ``repro.obs.profile``).
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ Two users in the reproduction:
 Rules are evaluated first-match; the default action when nothing matches is
 ``ALLOW``.
 
-When the stage profiler is on (``ObsConfig(stage_profile=True)``), the
-delivery hot paths attribute ``permits`` checks to the ``firewall`` stage
-(see ``repro.obs.stages``); inactive firewalls are skipped before the stage
-bracket, so the stage counts only real rule evaluations.
+When stage frames are on (``ObsConfig(stage_profile=True)``), the
+delivery hot paths attribute ``permits`` checks to the profiler's
+``firewall`` stage (see ``repro.obs.profile``); inactive firewalls are
+skipped before the stage bracket, so the stage counts only real rule
+evaluations.
 """
 
 from __future__ import annotations

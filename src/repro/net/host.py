@@ -187,21 +187,18 @@ class Host:
             profile = obs.profile
             stages = obs.stages
             if profile is not None:
-                profile.enter("delivery")
-            if stages is not None:
-                # Send boundary: at depth 0 the stage profiler decides here
-                # whether this (whole, nested) send tree is wall-clock
-                # sampled; the `send` frame itself soaks up orchestration
-                # residue so stage totals sum to the delivery phase.
-                stages.begin_send()
+                # The delivery frame, which is also the `send` stage: at
+                # send depth 0 the profiler decides here whether this
+                # (whole, nested) send tree times its stage frames.
+                profile.begin_send()
         try:
             # Packets that die before reaching the wire are invisible to
             # `Internet.deliver`; record their fate here.
             if stages is not None:
-                stages.enter("route")
+                stages.enter_stage("route")
             route = self.routing.lookup(packet.dst)
             if stages is not None:
-                stages.leave()
+                stages.leave_stage()
             if route is None:
                 if obs is not None:
                     obs.packet_event(self.name, packet, "no_route")
@@ -222,10 +219,10 @@ class Host:
             )
             if firewall_active:
                 if stages is not None:
-                    stages.enter("firewall")
+                    stages.enter_stage("firewall")
                 permitted = firewall.permits(packet, "out", interface.name)
                 if stages is not None:
-                    stages.leave()
+                    stages.leave_stage()
                 if not permitted:
                     if obs is not None:
                         obs.packet_event(
@@ -236,14 +233,14 @@ class Host:
             capture = interface.capture
             if capture.enabled:
                 if stages is not None:
-                    stages.enter("capture")
+                    stages.enter_stage("capture")
                 capture.entries.append(
                     CaptureEntry(
                         internet.clock_ms, "tx", capture.interface, packet
                     )
                 )
                 if stages is not None:
-                    stages.leave()
+                    stages.leave_stage()
             if interface.is_tunnel and interface.endpoint is not None:
                 # VPN tunnel: the endpoint encapsulates and re-sends via the
                 # physical interface (and may fail open/closed on tunnel
@@ -258,30 +255,28 @@ class Host:
                 for response in responses:
                     if firewall_active:
                         if stages is not None:
-                            stages.enter("firewall")
+                            stages.enter_stage("firewall")
                         permitted = firewall.permits(
                             response, "in", interface.name
                         )
                         if stages is not None:
-                            stages.leave()
+                            stages.leave_stage()
                         if not permitted:
                             continue
                     if record_rx:
                         if stages is not None:
-                            stages.enter("capture")
+                            stages.enter_stage("capture")
                         capture.entries.append(
                             CaptureEntry(
                                 clock_ms, "rx", capture.interface, response
                             )
                         )
                         if stages is not None:
-                            stages.leave()
+                            stages.leave_stage()
             return result
         finally:
-            if stages is not None:
-                stages.end_send()
             if profile is not None:
-                profile.leave()
+                profile.end_send()
 
     # ------------------------------------------------------------------
     # Receiving (called by the Internet)
@@ -295,24 +290,24 @@ class Host:
         if firewall._rules or firewall.default is not FirewallAction.ALLOW:
             iface_name = interface.name if interface else "?"
             if stages is not None:
-                stages.enter("firewall")
+                stages.enter_stage("firewall")
             permitted = firewall.permits(packet, "in", iface_name)
             if stages is not None:
-                stages.leave()
+                stages.leave_stage()
             if not permitted:
                 return None
         if interface is not None:
             capture = interface.capture
             if capture.enabled:
                 if stages is not None:
-                    stages.enter("capture")
+                    stages.enter_stage("capture")
                 capture.entries.append(
                     CaptureEntry(
                         self.internet.clock_ms, "rx", capture.interface, packet
                     )
                 )
                 if stages is not None:
-                    stages.leave()
+                    stages.leave_stage()
         if self.packet_tap is not None:
             self.packet_tap(packet)
 
@@ -392,14 +387,14 @@ class Host:
             capture = interface.capture
             if capture.enabled:
                 if stages is not None:
-                    stages.enter("capture")
+                    stages.enter_stage("capture")
                 capture.entries.append(
                     CaptureEntry(
                         self.internet.clock_ms, "tx", capture.interface, packet
                     )
                 )
                 if stages is not None:
-                    stages.leave()
+                    stages.leave_stage()
 
     # ------------------------------------------------------------------
     # Configuration snapshots (metadata test, Section 5.3.4)

@@ -262,14 +262,14 @@ class Internet:
             )
             fraction = hop_index / max(1, hops)
             if stages is not None:
-                stages.enter("latency")
+                stages.enter_stage("latency")
             rtt = (
                 latency.rtt_ms(src_loc, dst_loc, self._jitter_sample(packet))
                 * fraction
             )
             self.clock_ms += rtt
             if stages is not None:
-                stages.leave()
+                stages.leave_stage()
             reply = Packet(
                 src=router_addr,
                 dst=packet.src,
@@ -293,7 +293,7 @@ class Internet:
         # half-advances bill to `latency`; the receive side nests inside
         # as `dispatch` and is subtracted by exclusive accounting.
         if stages is not None:
-            stages.enter("latency")
+            stages.enter_stage("latency")
         sample = packet.__dict__.get("_jitter_sample")
         if sample is None:
             sample = self._jitter_sample(packet)
@@ -304,13 +304,13 @@ class Internet:
         if delivered is None:
             delivered = packet.decrement_ttl()
         if stages is not None:
-            stages.enter("dispatch")
+            stages.enter_stage("dispatch")
         responses = destination.receive(delivered) or []
         if stages is not None:
-            stages.leave()
+            stages.leave_stage()
         self.clock_ms += rtt / 2.0
         if stages is not None:
-            stages.leave()
+            stages.leave_stage()
         if obs is not None:
             obs.packet_event(source.name, packet, "delivered")
         return DeliveryResult(

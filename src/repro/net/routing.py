@@ -6,9 +6,9 @@ The VPN client reroutes traffic by installing/removing routes exactly the way
 real clients manipulate the OS routing table, so the metadata test (paper
 Section 5.3.4) can snapshot it, and the leakage tests observe its effects.
 
-When the stage profiler is on (``ObsConfig(stage_profile=True)``),
-``Host.send`` attributes lookup time to the ``route`` stage (see
-``repro.obs.stages``).
+When stage frames are on (``ObsConfig(stage_profile=True)``),
+``Host.send`` attributes lookup time to the profiler's ``route`` stage
+(see ``repro.obs.profile``).
 """
 
 from __future__ import annotations

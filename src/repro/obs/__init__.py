@@ -36,12 +36,10 @@ _EXPORTS = {
     "Histogram": ("repro.obs.metrics", "Histogram"),
     "RouteLookupStats": ("repro.obs.metrics", "RouteLookupStats"),
     "FlightRecorder": ("repro.obs.flight", "FlightRecorder"),
-    "PhaseProfiler": ("repro.obs.profile", "PhaseProfiler"),
+    "Profiler": ("repro.obs.profile", "Profiler"),
     "phase_breakdown": ("repro.obs.profile", "phase_breakdown"),
-    "render_phase_table": ("repro.obs.profile", "render_phase_table"),
-    "StageProfiler": ("repro.obs.stages", "StageProfiler"),
-    "stage_breakdown": ("repro.obs.stages", "stage_breakdown"),
-    "render_stage_table": ("repro.obs.stages", "render_stage_table"),
+    "stage_breakdown": ("repro.obs.profile", "stage_breakdown"),
+    "render_profile_table": ("repro.obs.profile", "render_profile_table"),
     "ResourceSampler": ("repro.obs.sample", "ResourceSampler"),
     "RunLedger": ("repro.obs.sample", "RunLedger"),
     "read_ledger": ("repro.obs.sample", "read_ledger"),
@@ -66,20 +64,16 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.obs.config import ObsConfig
     from repro.obs.export import parse_exposition, render_prometheus
     from repro.obs.profile import (
-        PhaseProfiler,
+        Profiler,
         phase_breakdown,
-        render_phase_table,
+        render_profile_table,
+        stage_breakdown,
     )
     from repro.obs.sample import (
         ResourceSampler,
         RunLedger,
         read_ledger,
         render_ledger,
-    )
-    from repro.obs.stages import (
-        StageProfiler,
-        render_stage_table,
-        stage_breakdown,
     )
     from repro.obs.evidence import (
         EvidenceChain,

@@ -36,14 +36,13 @@ class ObsConfig:
     writes the merged study snapshot as JSON and implies ``metrics``;
     ``flight_recorder`` keeps the last N packet events per host in a ring
     buffer that is dumped into the trace whenever a retry policy exhausts.
-    ``profile`` arms the :class:`~repro.obs.profile.PhaseProfiler` — the
-    per-unit dns/browser/tls/delivery/analysis wall-clock attribution —
-    and implies ``metrics``, since phase totals travel as ordinary
-    metrics (``phase.calls.*`` / ``phase.wall_ms.*``).  ``stage_profile``
-    arms the finer :class:`~repro.obs.stages.StageProfiler` — per-packet
-    stage attribution *inside* delivery — and likewise implies
-    ``metrics``; ``stage_sample`` is its deterministic 1-in-N top-level
-    send sampling period (1 = time every send).
+    ``profile`` arms the :class:`~repro.obs.profile.Profiler` with phase
+    frames only — the per-unit dns/browser/tls/delivery/analysis
+    wall-clock attribution — and implies ``metrics``, since profile
+    totals travel as ordinary metrics (``phase.*`` / ``stage.*``).
+    ``stage_profile`` adds the per-packet stage frames *inside* delivery
+    and implies ``profile``; ``stage_sample`` is the deterministic 1-in-N
+    top-level send sampling period that times them (1 = every send).
     """
 
     trace: bool = False
@@ -68,12 +67,15 @@ class ObsConfig:
         return self.trace or self.trace_path is not None
 
     @property
+    def profile_enabled(self) -> bool:
+        return self.profile or self.stage_profile
+
+    @property
     def metrics_enabled(self) -> bool:
         return (
             self.metrics
             or self.metrics_path is not None
-            or self.profile
-            or self.stage_profile
+            or self.profile_enabled
         )
 
     @property

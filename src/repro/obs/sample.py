@@ -1,6 +1,6 @@
 """Runtime resource sampling and the run ledger.
 
-Where :mod:`repro.obs.stages` answers "where does delivery time go?",
+Where :mod:`repro.obs.profile` answers "where does delivery time go?",
 this module answers "what is the *machine* doing while the study runs?"
 — resident set size, dispatch queue depth, in-flight units, how many
 shard worlds each worker is holding, and how well the per-worker world

@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING, ContextManager, Iterator, Optional
 from repro.obs.config import ObsConfig
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, RouteLookupStats
-from repro.obs.profile import PhaseProfiler, fold_phases
-from repro.obs.stages import StageProfiler, fold_stages
+from repro.obs.profile import Profiler, fold_profile
 from repro.obs.trace import Tracer
 
 if TYPE_CHECKING:
@@ -60,20 +59,22 @@ class Observability:
         self.route_stats: Optional[RouteLookupStats] = (
             RouteLookupStats() if config.metrics_enabled else None
         )
-        # Phase attribution: hot-path hook sites reach this through
-        # `internet.obs.profile`, so a metrics-only session costs those
-        # sites one extra None check and a profiling one a stack push/pop.
-        self.profile: Optional[PhaseProfiler] = (
-            PhaseProfiler() if config.profile else None
-        )
-        # Per-packet stage attribution inside delivery; reached through
-        # `internet.obs.stages` exactly like `profile`, so it goes dark
-        # automatically under suspended() and costs disabled sessions
-        # one None check at the send boundary.
-        self.stages: Optional[StageProfiler] = (
-            StageProfiler(seed=seed, sample_every=config.stage_sample)
-            if config.stage_profile
+        # The one profiler.  Phase hook sites reach it through
+        # `internet.obs.profile`; stage hook sites through
+        # `internet.obs.stages`, the same object or None when stage frames
+        # are off, so a phase-only session pays nothing new at stage sites.
+        # Both go dark with `internet.obs` under suspended().
+        self.profile: Optional[Profiler] = (
+            Profiler(
+                stages=config.stage_profile,
+                seed=seed,
+                sample_every=config.stage_sample,
+            )
+            if config.profile_enabled
             else None
+        )
+        self.stages: Optional[Profiler] = (
+            self.profile if config.stage_profile else None
         )
         self._trust_store: "Optional[TrustStore]" = None
         self._dumps: list[dict] = []
@@ -313,8 +314,6 @@ class Observability:
             self.flight.clear()
         if self.profile is not None:
             self.profile.reset()
-        if self.stages is not None:
-            self.stages.reset()
         self._dumps = []
         self._packet_spans = {}
         self._test_span_id = None
@@ -335,13 +334,9 @@ class Observability:
             if misses:
                 self.metrics.inc("routing.memo_misses", misses)
         if self.profile is not None:
-            # config.profile implies metrics, so the registry exists;
-            # phase totals ride the unit's ordinary metrics snapshot.
-            fold_phases(self.profile, self.metrics)
-        if self.stages is not None:
-            # stage_profile implies metrics too; stage totals ride the
-            # same snapshot and merge commutatively.
-            fold_stages(self.stages, self.metrics)
+            # Profiling implies metrics, so the registry exists; phase
+            # and stage totals ride the unit's ordinary metrics snapshot.
+            fold_profile(self.profile, self.metrics)
         if self.tracer is not None:
             payload["trace"] = self.tracer.drain()
         if self.metrics is not None:
@@ -351,27 +346,16 @@ class Observability:
             self._dumps = []
         return payload or None
 
-    def drain_phases(self) -> Optional[dict]:
-        """Metrics snapshot of phases recorded *outside* any unit.
+    def drain_profile(self) -> Optional[dict]:
+        """Metrics snapshot of profiler frames recorded *outside* any unit.
 
         The coordinator's suite runs study assembly after every unit is
-        done; its ``analysis`` phase therefore never reaches
-        :meth:`drain_unit`.  The executor calls this afterwards and
-        publishes the result as one extra
+        done; its ``analysis`` phase (and any delivery under it)
+        therefore never reaches :meth:`drain_unit`.  The executor calls
+        this afterwards and publishes the result as one extra
         :class:`~repro.runtime.events.UnitMetrics` delta.
         """
-        profile = self.profile
-        if profile is None:
+        if self.profile is None:
             return None
-        phases = profile.drain()
-        if not phases:
-            return None
-        metrics = self.metrics
-        for name, (calls, wall_ms) in phases.items():
-            metrics.inc(f"phase.calls.{name}", calls)
-            metrics.observe(f"phase.wall_ms.{name}", wall_ms)
-        if self.stages is not None:
-            # Any delivery the analysis phase performed brackets stages
-            # outside a unit; fold them into the same final delta.
-            fold_stages(self.stages, metrics)
-        return metrics.drain()
+        fold_profile(self.profile, self.metrics)
+        return self.metrics.drain()

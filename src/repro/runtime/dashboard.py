@@ -148,7 +148,7 @@ class DashboardState:
             }
             stages: list[dict] = []
             if self._registry is not None:
-                from repro.obs.stages import stage_breakdown
+                from repro.obs.profile import stage_breakdown
 
                 snapshot = self._registry.snapshot()
                 stages = [

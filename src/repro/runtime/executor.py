@@ -769,7 +769,7 @@ class StudyExecutor:
                 # profiled "analysis" phase joins the study aggregate as
                 # one extra delta at the same merge point as everything
                 # else.
-                snapshot = obs.drain_phases()
+                snapshot = obs.drain_profile()
                 if snapshot is not None:
                     self.bus.publish(
                         ev.UnitMetrics(

@@ -76,10 +76,10 @@ class TunnelEndpoint:
         obs = internet.obs if internet is not None else None
         stages = obs.stages if obs is not None else None
         if stages is not None:
-            stages.enter("encap")
+            stages.enter_stage("encap")
         outer = self._encapsulate(inner)
         if stages is not None:
-            stages.leave()
+            stages.leave_stage()
         physical = host.interfaces.get(self.physical_interface)
         if physical is None or not physical.up:
             return DeliveryResult(packet=inner, status="interface_down",
@@ -88,10 +88,10 @@ class TunnelEndpoint:
         firewall = host.firewall
         if firewall._rules or firewall.default is not FirewallAction.ALLOW:
             if stages is not None:
-                stages.enter("firewall")
+                stages.enter_stage("firewall")
             permitted = firewall.permits(outer, "out", physical.name)
             if stages is not None:
-                stages.leave()
+                stages.leave_stage()
             if not permitted:
                 return self._handle_outer_failure(inner, "egress firewall")
 
@@ -99,12 +99,12 @@ class TunnelEndpoint:
         capture = physical.capture
         if capture.enabled:
             if stages is not None:
-                stages.enter("capture")
+                stages.enter_stage("capture")
             capture.entries.append(
                 CaptureEntry(internet.clock_ms, "tx", capture.interface, outer)
             )
             if stages is not None:
-                stages.leave()
+                stages.leave_stage()
         outcome = internet.deliver(outer, host)
         if not outcome.ok:
             return self._handle_outer_failure(inner, outcome.status)
@@ -124,12 +124,12 @@ class TunnelEndpoint:
         for response in outcome.responses:
             if record_rx:
                 if stages is not None:
-                    stages.enter("capture")
+                    stages.enter_stage("capture")
                 capture.entries.append(
                     CaptureEntry(clock_ms, "rx", capture.interface, response)
                 )
                 if stages is not None:
-                    stages.leave()
+                    stages.leave_stage()
             payload = response.payload
             if isinstance(payload, TunnelPayload):
                 inner_responses.append(payload.inner)

@@ -93,7 +93,7 @@ class CertificateAuthority:
 class TrustStore:
     """The client's set of trusted root certificates."""
 
-    # Phase-profiler hook, wired by Observability.attach (the store has no
+    # Profiler hook (the ``tls`` phase), wired by Observability.attach (the store has no
     # path back to the internet's `obs` slot); None costs one check.
     profile = None
 

@@ -148,3 +148,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "MyIP.io" in out
         assert "location misrepresentation" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["study", "--providers", "Seed4.me", "--workers", "0"],
+            ["study", "--providers", "Seed4.me", "--shards", "0"],
+            ["study", "--providers", "Seed4.me", "--max-vps", "0"],
+            ["study", "--providers", "Seed4.me", "--snapshots", "0"],
+            ["study", "--providers", "Seed4.me", "--flight-recorder", "-1"],
+            ["study", "--providers", "Seed4.me", "--stage-sample", "0"],
+            ["serve", "--workers", "0"],
+        ],
+        ids=lambda argv: " ".join(argv[-2:]),
+    )
+    def test_out_of_range_flag_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if line.strip()]
+        assert line.startswith("error: ")

@@ -20,6 +20,32 @@ GOLDEN_STUDY_FINGERPRINT = (
     "089be0e16eadd949c1d0e5a81d691eb9381b69e195cc8f4a13df111c83c08a86"
 )
 GOLDEN_STUDY_PROVIDERS = ["Seed4.me", "PureVPN", "MyIP.io"]
+# Profiler call counts of that golden study: pure functions of the study,
+# identical on every backend.  Stage sampling uses the default
+# ``stage_sample=8``.
+GOLDEN_PHASE_CALLS = {
+    "phase.calls.analysis": 1,
+    "phase.calls.browser": 4208,
+    "phase.calls.delivery": 23082,
+    "phase.calls.dns": 4001,
+    "phase.calls.tls": 2568,
+}
+GOLDEN_STAGE_COUNTS = {
+    "stage.calls.capture": 49514,
+    "stage.calls.dispatch": 20782,
+    "stage.calls.encap": 13396,
+    "stage.calls.firewall": 27516,
+    "stage.calls.latency": 23038,
+    "stage.calls.route": 23082,
+    "stage.calls.send": 23082,
+    "stage.sampled.capture": 6195,
+    "stage.sampled.dispatch": 2739,
+    "stage.sampled.encap": 1670,
+    "stage.sampled.firewall": 3442,
+    "stage.sampled.latency": 3012,
+    "stage.sampled.route": 3020,
+    "stage.sampled.send": 3020,
+}
 
 
 class TestWorldDeterminism:
@@ -215,36 +241,29 @@ class TestWorldDeterminism:
             for name, value in snapshot["counters"].items()
             if name.startswith("phase.calls.")
         }
-        assert calls == {
-            "phase.calls.analysis": 1,
-            "phase.calls.browser": 4208,
-            "phase.calls.delivery": 23082,
-            "phase.calls.dns": 4001,
-            "phase.calls.tls": 2568,
-        }
+        assert calls == GOLDEN_PHASE_CALLS
 
     def test_stage_profiler_golden_and_counts_across_backends(
         self, tmp_path
     ):
         """Stage profiling must be read-only and count-deterministic.
 
-        Runs the golden study with the per-packet stage profiler on
-        across all three backends: every archive must still match the
-        golden fingerprint (the stage brackets change no behaviour), and
-        the exact stage call counts *and* the deterministically sampled
-        frame counts must be byte-identical no matter how units were
-        scheduled — the stage-level analogue of the pinned
-        ``phase.calls.*`` counters.
+        Runs the golden study with stage frames on across all three
+        backends: every archive must still match the golden fingerprint
+        (the stage brackets change no behaviour), and the exact stage
+        call counts *and* the deterministically sampled frame counts
+        must equal the golden pins no matter how units were scheduled.
+        Stage profiling implies phase frames, so the ``phase.calls.*``
+        pins hold here too.
         """
         from repro.core.archive import (
             archive_fingerprint,
             write_study_archive,
         )
         from repro.obs.config import ObsConfig
-        from repro.obs.stages import STANDARD_STAGES
         from repro.runtime.executor import StudyExecutor
 
-        def stage_counters(workers, backend, label):
+        for workers, backend in [(1, "thread"), (4, "thread"), (4, "process")]:
             executor = StudyExecutor(
                 seed=2018,
                 providers=GOLDEN_STUDY_PROVIDERS,
@@ -254,26 +273,20 @@ class TestWorldDeterminism:
                 obs=ObsConfig(stage_profile=True),
             )
             report = executor.run()
-            root = tmp_path / label
+            root = tmp_path / f"{backend}-{workers}"
             write_study_archive(report, root)
             assert archive_fingerprint(root) == GOLDEN_STUDY_FINGERPRINT
             counters = executor.metrics.snapshot()["counters"]
-            return {
+            assert {
                 name: value
                 for name, value in counters.items()
                 if name.startswith(("stage.calls.", "stage.sampled."))
-            }
-
-        sequential = stage_counters(1, "thread", "sequential")
-        threaded = stage_counters(4, "thread", "threaded")
-        processed = stage_counters(4, "process", "processed")
-        assert sequential == threaded == processed
-        stages = {
-            name[len("stage.calls."):]
-            for name in sequential
-            if name.startswith("stage.calls.")
-        }
-        assert stages and stages <= set(STANDARD_STAGES)
+            } == GOLDEN_STAGE_COUNTS, (workers, backend)
+            assert {
+                name: value
+                for name, value in counters.items()
+                if name.startswith("phase.calls.")
+            } == GOLDEN_PHASE_CALLS, (workers, backend)
 
     @pytest.mark.parametrize(
         "workers,backend,shards",

@@ -409,127 +409,6 @@ class TestEventBusReplay:
 
 
 # ----------------------------------------------------------------------
-# Phase profiler
-# ----------------------------------------------------------------------
-class TestPhaseProfiler:
-    def test_exclusive_accounting_subtracts_children(self):
-        import time
-
-        from repro.obs.profile import PhaseProfiler
-
-        profiler = PhaseProfiler()
-        profiler.enter("browser")
-        time.sleep(0.01)
-        profiler.enter("dns")
-        time.sleep(0.02)
-        profiler.leave()
-        time.sleep(0.01)
-        profiler.leave()
-        drained = profiler.drain()
-        assert set(drained) == {"browser", "dns"}
-        browser_calls, browser_ms = drained["browser"]
-        dns_calls, dns_ms = drained["dns"]
-        assert browser_calls == 1 and dns_calls == 1
-        # The dns slice is excluded from browser's own time.
-        assert dns_ms >= 18
-        assert browser_ms < dns_ms + 18
-
-    def test_recursive_same_phase_not_double_counted(self):
-        import time
-
-        from repro.obs.profile import PhaseProfiler
-
-        profiler = PhaseProfiler()
-        profiler.enter("delivery")          # e.g. Host.send
-        profiler.enter("delivery")          # tunnel re-entry
-        time.sleep(0.01)
-        profiler.leave()
-        profiler.leave()
-        calls, wall_ms = profiler.drain()["delivery"]
-        assert calls == 2
-        # Total is the real elapsed span, not 2x the inner sleep.
-        assert wall_ms < 25
-
-    def test_drain_resets_and_discards_open_frames(self):
-        from repro.obs.profile import PhaseProfiler
-
-        profiler = PhaseProfiler()
-        with profiler.phase("tls"):
-            pass
-        profiler.enter("dns")  # left open (aborted unit)
-        drained = profiler.drain()
-        assert set(drained) == {"tls"}
-        assert profiler.drain() == {}
-
-    def test_fold_phases_counters_and_histograms(self):
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.profile import PhaseProfiler, fold_phases
-
-        registry = MetricsRegistry()
-        profiler = PhaseProfiler()
-        for _ in range(3):
-            with profiler.phase("dns"):
-                pass
-        fold_phases(profiler, registry)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["phase.calls.dns"] == 3
-        # One histogram observation per phase per fold (the unit total).
-        assert snapshot["histograms"]["phase.wall_ms.dns"]["count"] == 1
-
-    def test_breakdown_shares_sum_to_one_and_table_renders(self):
-        from repro.obs.profile import phase_breakdown, render_phase_table
-
-        snapshot = {
-            "counters": {
-                "phase.calls.dns": 10,
-                "phase.calls.browser": 5,
-                "other.counter": 99,
-            },
-            "histograms": {
-                "phase.wall_ms.dns": {
-                    "count": 2, "total": 30.0, "min": 10.0, "max": 20.0,
-                    "buckets": {}, "p50": 10.0, "p95": 20.0, "p99": 20.0,
-                },
-                "phase.wall_ms.browser": {
-                    "count": 2, "total": 70.0, "min": 30.0, "max": 40.0,
-                    "buckets": {}, "p50": 30.0, "p95": 40.0, "p99": 40.0,
-                },
-            },
-        }
-        rows = phase_breakdown(snapshot)
-        assert [row["phase"] for row in rows] == ["browser", "dns"]
-        assert sum(row["share"] for row in rows) == pytest.approx(1.0)
-        table = render_phase_table(snapshot)
-        assert "browser" in table and "70.0" in table
-
-    def test_profile_config_implies_metrics(self):
-        from repro.obs.config import ObsConfig
-
-        config = ObsConfig(profile=True)
-        assert config.metrics_enabled
-        assert config.enabled
-
-    def test_phase_counts_deterministic_across_backends(self):
-        runs = {
-            label: _run_study(workers, backend, profile=True)
-            for label, (workers, backend) in {
-                "sequential": (1, "thread"),
-                "threads": (4, "thread"),
-            }.items()
-        }
-        counts = {
-            label: {
-                name: value
-                for name, value in ex.metrics.snapshot()["counters"].items()
-                if name.startswith("phase.calls.")
-            }
-            for label, ex in runs.items()
-        }
-        assert counts["sequential"] == counts["threads"]
-        assert counts["sequential"]["phase.calls.analysis"] == 1
-
-
-# ----------------------------------------------------------------------
 # Prometheus exposition
 # ----------------------------------------------------------------------
 class TestPrometheusExport:
