@@ -37,6 +37,7 @@ results that did complete.
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import pathlib
 import threading
 import time
@@ -89,6 +90,56 @@ class SuiteCache(OrderedDict):
     misses: int = 0
 
 
+class _CollectorPause:
+    """Automatic cyclic collection paused while any unit is in flight.
+
+    A unit allocates hundreds of thousands of objects and drops them by
+    reference count, so the collector's automatic passes inside a unit
+    find almost nothing, yet each full pass walks the whole heap, worlds
+    included.  One count is shared by every executor in the process
+    (``gc.disable`` is process-wide, and the serve daemon runs several
+    jobs' units on one pool): the first unit to enter disables the
+    collector, the last to leave re-enables it if it was enabled when
+    the first entered.  Worlds are reference cycles, so every site that
+    drops one while a unit may hold the pause collects explicitly.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._held = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._held == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._held += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._held -= 1
+            if self._held == 0 and self._was_enabled:
+                gc.enable()
+
+    def after_fork(self) -> None:
+        """Start afresh in a forked child, where no unit is in flight.
+
+        Only the forking thread survives a fork, so a count or a held
+        lock inherited from the parent's unit threads can never be
+        released here; the collector goes back to the state the pause
+        found.
+        """
+        if self._held or self._lock.locked():
+            if self._was_enabled:
+                gc.enable()
+        self._lock = threading.Lock()
+        self._held = 0
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+
+
 class StudyInterrupted(RuntimeError):
     """The executor stopped on request before the plan finished.
 
@@ -137,8 +188,11 @@ def _shard_suite_cached(
         cache.misses = getattr(cache, "misses", 0) + 1
         suite = _build_shard_suite(seed, source, shard, shards, suite_kwargs)
         cache[shard] = suite
-        while len(cache) > _WORKER_SUITE_CACHE:
+        if len(cache) > _WORKER_SUITE_CACHE:
             cache.popitem(last=False)
+            # The evicted world is a reference cycle, and units on other
+            # threads may hold the collector paused.
+            gc.collect()
     else:
         cache.hits = getattr(cache, "hits", 0) + 1
         cache.move_to_end(shard)
@@ -172,7 +226,8 @@ def _timed_run_unit(
     retries_before = suite.connect_retries
     started = time.perf_counter()
     try:
-        results = suite.run_unit(unit)
+        with _COLLECTOR_PAUSE:
+            results = suite.run_unit(unit)
     except BaseException:
         # Discard the partial unit's obs buffers so a retry (or the next
         # unit on this worker) starts from clean per-unit state.
@@ -200,6 +255,7 @@ _PROCESS_STATE: dict = {}
 def _process_worker_init(
     seed: int, source: StudySource, shards: int, suite_kwargs: dict
 ) -> None:
+    _COLLECTOR_PAUSE.after_fork()
     _PROCESS_STATE.update(
         seed=seed,
         source=source,

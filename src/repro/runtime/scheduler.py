@@ -20,6 +20,7 @@ stability (all diffs empty, itself a reproduction claim).
 
 from __future__ import annotations
 
+import gc
 import pathlib
 import threading
 from concurrent import futures
@@ -342,6 +343,10 @@ class LongitudinalScheduler:
                 archive_dir = write_study_archive(
                     study, self.archive_root / spec.label
                 )
+            # The snapshot's worlds are reference cycles, and units of
+            # other jobs on a shared pool may hold the collector paused.
+            del executor, study
+            gc.collect()
             report.snapshots.append(
                 SnapshotRecord(
                     spec=spec, verdicts=verdicts, archive_dir=archive_dir

@@ -29,6 +29,7 @@ lands in ``cancelled``.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -200,28 +201,30 @@ class JobScheduler:
             stop_event.set()
         try:
             if record.request.kind is JobKind.SNAPSHOTS:
-                self._run_snapshots(record, bus, stop_event)
+                self._run_snapshots(record, bus, stop_event, started)
             else:
-                self._run_study(record, bus, stop_event)
+                self._run_study(record, bus, stop_event, started)
         except StudyInterrupted:
             progress = _progress_dict(collector.stats)
             if record.job_id in self._cancelled:
-                self.queue.resolve(
-                    record.job_id, JobState.CANCELLED, progress=progress
+                self._resolve(
+                    record.job_id, started, JobState.CANCELLED,
+                    progress=progress,
                 )
             else:
                 # Drain: the checkpoint holds every committed unit; the
                 # job waits in the queue for this daemon's successor.
-                self.queue.resolve(
-                    record.job_id, JobState.QUEUED, progress=progress
+                self._resolve(
+                    record.job_id, started, JobState.QUEUED,
+                    progress=progress,
                 )
         except CheckpointMismatchError as exc:
-            self.queue.resolve(
-                record.job_id, JobState.FAILED, error=str(exc)
+            self._resolve(
+                record.job_id, started, JobState.FAILED, error=str(exc)
             )
         except Exception as exc:  # noqa: BLE001 - job isolation
-            self.queue.resolve(
-                record.job_id, JobState.FAILED, error=repr(exc)
+            self._resolve(
+                record.job_id, started, JobState.FAILED, error=repr(exc)
             )
         finally:
             # Close wakes blocked /events readers; persist before
@@ -230,10 +233,6 @@ class JobScheduler:
             # every event was published before the record resolved).
             event_log.close()
             self.store.save_events(record.job_id, event_log.records())
-            if self.metrics is not None:
-                self.metrics.observe(
-                    "serve.job.wall_s", time.monotonic() - started
-                )
             with self._lock:
                 self._stop_events.pop(record.job_id, None)
                 self._runners.pop(record.job_id, None)
@@ -241,12 +240,35 @@ class JobScheduler:
                 self._aggregators.pop(record.job_id, None)
                 self._cancelled.discard(record.job_id)
             self._active.release()
+            # The job's worlds are reference cycles, and other jobs'
+            # units may hold the collector paused.
+            gc.collect()
+
+    def _resolve(
+        self, job_id: str, started: float, state: JobState, **detail
+    ) -> JobRecord:
+        """Move a running job to *state*, its wall time observed first.
+
+        Observing before the record changes means a client that sees the
+        job finish always finds ``serve.job.wall_s`` in ``/metrics``.  A
+        completed job whose checkpoint prune fails is resolved twice and
+        observed once.
+        """
+        if (
+            self.metrics is not None
+            and self.queue.get(job_id).state is JobState.RUNNING
+        ):
+            self.metrics.observe(
+                "serve.job.wall_s", time.monotonic() - started
+            )
+        return self.queue.resolve(job_id, state, **detail)
 
     def _run_study(
         self,
         record: JobRecord,
         bus: ev.EventBus,
         stop_event: threading.Event,
+        started: float,
     ) -> None:
         config = record.request.config
         if record.request.kind is JobKind.RECHECK:
@@ -278,8 +300,8 @@ class JobScheduler:
         )
         progress = _progress_dict(self._collector_stats(record.job_id))
         progress["archive_fingerprint"] = fingerprint
-        resolved = self.queue.resolve(
-            record.job_id, JobState.COMPLETED, progress=progress
+        resolved = self._resolve(
+            record.job_id, started, JobState.COMPLETED, progress=progress
         )
         self._maybe_prune(resolved)
 
@@ -288,6 +310,7 @@ class JobScheduler:
         record: JobRecord,
         bus: ev.EventBus,
         stop_event: threading.Event,
+        started: float,
     ) -> None:
         from repro.runtime.scheduler import LongitudinalScheduler
 
@@ -318,8 +341,8 @@ class JobScheduler:
                 completed=len(report.snapshots),
                 remaining=config.snapshots - len(report.snapshots),
             )
-        resolved = self.queue.resolve(
-            record.job_id, JobState.COMPLETED, progress=progress
+        resolved = self._resolve(
+            record.job_id, started, JobState.COMPLETED, progress=progress
         )
         self._maybe_prune(resolved)
 

@@ -383,6 +383,35 @@ class TestMetricsEndpoint:
         values = [value for _, value in buckets]
         assert values == sorted(values)  # cumulative
 
+    def test_job_wall_time_is_scraped_as_soon_as_the_job_resolves(
+        self, daemon, monkeypatch
+    ):
+        """The wall-time histogram lands before the job turns terminal.
+
+        Persisting the event log is held until the test has scraped, so
+        a histogram observed after it would be missing from the scrape.
+        """
+        from repro.obs.export import parse_exposition
+        from repro.serve.client import ServeClient
+
+        scraped = threading.Event()
+        save_events = daemon.store.save_events
+
+        def held_save_events(job_id, records):
+            scraped.wait(timeout=60)
+            save_events(job_id, records)
+
+        monkeypatch.setattr(daemon.store, "save_events", held_save_events)
+        client = ServeClient(daemon.endpoint)
+        job = client.submit(_request(providers=["Seed4.me"])).job_id
+        try:
+            client.wait(job, timeout_s=300)
+            families = parse_exposition(client.metrics_text())
+        finally:
+            scraped.set()
+        assert "repro_serve_job_wall_s_bucket" in families
+        assert families["repro_serve_job_wall_s_count"][0][1] == 1
+
     def test_scrape_during_run_includes_job_obs_metrics(self, daemon):
         from repro.obs.config import ObsConfig
         from repro.obs.export import parse_exposition
