@@ -15,17 +15,16 @@ from repro.core.analysis.colocation import ColocationAnalysis
 @pytest.fixture(scope="module")
 def evidence_by_provider():
     """Ping evidence + ground truth for a mixed provider set."""
-    from repro.api import build_study
-    from repro.core.harness import TestSuite
+    from repro.api import build_study, run_full_study
+    from repro.config import StudyConfig
 
-    world = build_study(
-        providers=["MyIP.io", "Avira", "Le VPN", "VPNUK", "Mullvad",
-                   "NordVPN", "Freedom IP"]
-    )
-    suite = TestSuite(world)
+    names = ["MyIP.io", "Avira", "Le VPN", "VPNUK", "Mullvad", "NordVPN",
+             "Freedom IP"]
+    world = build_study(providers=names)
+    study = run_full_study(StudyConfig(providers=names))
     bundle = {}
     for name, provider in world.providers.items():
-        report = suite.audit_provider(name)
+        report = study.providers[name]
         anchor_locations = {
             a.address: a.location for a in world.anchors
         }

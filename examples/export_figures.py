@@ -18,8 +18,7 @@ import csv
 import pathlib
 import sys
 
-from repro.api import build_study
-from repro.core.harness import TestSuite
+from repro import StudyConfig, run_full_study
 from repro.ecosystem import EcosystemAnalysis, generate_ecosystem
 
 FIG9_PROVIDERS = ["MyIP.io", "Le VPN"]
@@ -56,10 +55,9 @@ def export_ecosystem_figures(out: pathlib.Path) -> None:
 
 
 def export_fig9(out: pathlib.Path) -> None:
-    world = build_study(providers=FIG9_PROVIDERS)
-    suite = TestSuite(world)
+    study = run_full_study(StudyConfig(providers=FIG9_PROVIDERS))
     for name in FIG9_PROVIDERS:
-        report = suite.audit_provider(name)
+        report = study.providers[name]
         slug = name.lower().replace(" ", "").replace(".", "")
         path = out / f"fig9_{slug}.csv"
         with path.open("w", newline="") as fh:

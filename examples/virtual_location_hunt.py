@@ -18,19 +18,17 @@ Run:
 
 import sys
 
-from repro.api import build_study
-from repro.core.harness import TestSuite
+from repro import StudyConfig, run_full_study
 
 DEFAULT_TARGETS = ["MyIP.io", "Avira", "Le VPN", "VPNUK", "Mullvad"]
 
 
 def main() -> None:
     targets = sys.argv[1:] or DEFAULT_TARGETS
-    world = build_study(providers=targets)
-    suite = TestSuite(world)
+    study = run_full_study(StudyConfig(providers=targets))
 
     for name in targets:
-        report = suite.audit_provider(name)
+        report = study.providers[name]
         colocation = report.colocation
         verdict = (
             "MISREPRESENTS LOCATIONS"

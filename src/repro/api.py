@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from repro.config import StudyConfig
-    from repro.core.harness import StudyReport, TestSuite
+    from repro.core.harness import StudyReport
     from repro.world import World
 
 #: Sentinel distinguishing "keyword not passed" from any real value
@@ -100,22 +100,16 @@ def audit_provider(
 ):
     """Run the full measurement suite against a single provider.
 
-    Returns a :class:`repro.core.harness.ProviderReport`.  When the config
-    enables metrics, the report gains an ``obs_metrics`` snapshot dict.
+    A one-provider :func:`run_full_study` of *config* with its source
+    replaced by *name*.  Returns a
+    :class:`repro.core.harness.ProviderReport` carrying the study's
+    ``obs_metrics`` (merged snapshot dict, ``None`` unless metrics are
+    enabled).
     """
-    from repro.core.harness import TestSuite
-
     config = _resolve_config("audit_provider", config, {"seed": seed})
-    world = build_study(seed=config.seed, providers=[name])
-    obs_config = config.obs if config.obs.enabled else None
-    suite = TestSuite(
-        world,
-        max_vantage_points=config.max_vantage_points,
-        obs_config=obs_config,
-    )
-    report = suite.audit_provider(name)
-    if suite.obs is not None and suite.obs.metrics is not None:
-        report.obs_metrics = suite.obs.metrics.snapshot()
+    study = run_full_study(config.replace(providers=(name,), source=None))
+    report = study.providers[name]
+    report.obs_metrics = study.obs_metrics
     return report
 
 
@@ -262,12 +256,14 @@ def run_longitudinal_study(
 ):
     """Re-run the study as *snapshots* measurements and diff the verdicts.
 
-    ``config.reseed=True`` rebuilds each snapshot's world from a derived
-    seed (an ecosystem that may drift); ``reseed=False`` re-measures the
-    same world every time, so any verdict change is a reproducibility
-    failure.  Returns a :class:`repro.runtime.scheduler.LongitudinalReport`
-    whose ``diffs`` list what changed between consecutive snapshots (empty
-    when the ecosystem — here, the simulation — is stable).
+    Every snapshot runs *config* (its source, shards, workers and backend)
+    on the executor.  ``config.reseed=True`` rebuilds each snapshot's
+    world from a derived seed (an ecosystem that may drift);
+    ``reseed=False`` re-measures the same world every time, so any verdict
+    change is a reproducibility failure.  Returns a
+    :class:`repro.runtime.scheduler.LongitudinalReport` whose ``diffs``
+    list what changed between consecutive snapshots (empty when the
+    ecosystem — here, the simulation — is stable).
     """
     from repro.runtime.scheduler import LongitudinalScheduler
 
@@ -280,22 +276,9 @@ def run_longitudinal_study(
         "backend": backend,
         "reseed": reseed,
         "obs": obs,
-        # Historical name: the scheduler calls it archive_root, the
-        # config calls it archive_dir.
+        # Historical name: this keyword is archive_root, the config
+        # calls it archive_dir.
         "archive_dir": archive_root,
     }
     config = _resolve_config("run_longitudinal_study", config, legacy)
-    scheduler = LongitudinalScheduler(
-        seed=config.seed,
-        snapshots=config.snapshots,
-        providers=config.provider_list,
-        max_vantage_points=config.max_vantage_points,
-        workers=config.workers,
-        backend=config.backend,
-        archive_root=config.archive_dir,
-        reseed=config.reseed,
-        obs=config.obs if config.obs.enabled else None,
-        stop_event=stop_event,
-        checkpoint_root=config.checkpoint_dir,
-    )
-    return scheduler.run()
+    return LongitudinalScheduler(config, stop_event=stop_event).run()

@@ -461,17 +461,21 @@ def cmd_list() -> int:
 
 
 def cmd_audit(provider: str, max_vps: int, seed: int) -> int:
-    from repro.api import build_study
-    from repro.core.harness import TestSuite
+    from repro.api import audit_provider
+    from repro.config import StudyConfig
 
     try:
-        world = build_study(seed=seed, providers=[provider])
+        report = audit_provider(
+            provider,
+            config=StudyConfig(seed=seed, max_vantage_points=max_vps),
+        )
     except KeyError:
         print(f"unknown provider {provider!r}; see 'repro list'",
               file=sys.stderr)
         return 2
-    suite = TestSuite(world, max_vantage_points=max_vps)
-    report = suite.audit_provider(provider)
+    except ValueError as exc:  # an out-of-range flag (--max-vps 0)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.summary())
     return 0
 
@@ -1042,20 +1046,16 @@ _GUIDE_DEFAULTS = [
 
 
 def cmd_guide(providers: list[str], seed: int) -> int:
-    from repro.api import build_study
-    from repro.core.harness import StudyReport, TestSuite
+    from repro.api import run_full_study
+    from repro.config import StudyConfig
     from repro.core.scoring import build_selection_guide
 
     names = providers or _GUIDE_DEFAULTS
     try:
-        world = build_study(seed=seed, providers=names)
+        study = run_full_study(StudyConfig(seed=seed, providers=names))
     except KeyError as exc:
         print(f"unknown provider(s): {exc}", file=sys.stderr)
         return 2
-    suite = TestSuite(world)
-    study = StudyReport()
-    for name in names:
-        study.providers[name] = suite.audit_provider(name)
     guide = build_selection_guide(study)
     print(guide.render())
     return 0

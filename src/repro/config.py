@@ -17,7 +17,7 @@ a stable JSON round-trip for archiving alongside results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.obs.config import ObsConfig
 from repro.source import StudySource
@@ -112,14 +112,6 @@ class StudyConfig:
         if self.providers is not None:
             return StudySource.explicit(self.providers)
         return StudySource.catalog()
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_providers(
-        cls, providers: Sequence[str], **kwargs: object
-    ) -> "StudyConfig":
-        """Convenience: a config scoped to a provider subset."""
-        return cls(providers=tuple(providers), **kwargs)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

@@ -742,18 +742,18 @@ class TestSuite:
         Iterates in plan order, so the report (and its archived bytes) is
         independent of the order in which units actually executed.  Units
         missing from *unit_results* (failed or timed out) are recorded in
-        the provider's ``connect_failures``.
-
-        Profiled as the ``analysis`` phase.  This is the sequential
-        reference; the executor's study loop assembles the same providers
-        through :meth:`assemble_provider_from_plan`.
+        the provider's ``connect_failures``.  The executor's study loop
+        assembles the same providers one at a time, each on its shard's
+        suite, through :meth:`assemble_provider_from_plan`; this
+        whole-plan form stays because ``perfbench/layers.py`` wraps it by
+        name.
         """
-        obs = self.obs
-        profile = obs.profile if obs is not None else None
-        if profile is None:
-            return self._assemble_study(plan, unit_results)
-        with profile.phase("analysis"):
-            return self._assemble_study(plan, unit_results)
+        study = StudyReport()
+        for name in plan.providers:
+            report = self.assemble_provider_from_plan(plan, name, unit_results)
+            study.providers[name] = report
+            self.ingest_provider_aggregates(study, name, report)
+        return study
 
     def assemble_provider_from_plan(
         self,
@@ -814,36 +814,6 @@ class TestSuite:
                 asn=vantage_point.spec.asn,
             )
 
-    def _assemble_study(
-        self,
-        plan: "StudyPlan",
-        unit_results: dict[str, list[VantagePointResults]],
-    ) -> StudyReport:
-        study = StudyReport()
-        for name in plan.providers:
-            report = self.assemble_provider_from_plan(plan, name, unit_results)
-            study.providers[name] = report
-            self.ingest_provider_aggregates(study, name, report)
-        return study
-
-    # ------------------------------------------------------------------
-    # Provider- and study-level drivers
-    # ------------------------------------------------------------------
-    def audit_provider(self, name: str) -> ProviderReport:
-        provider = self.world.provider(name)
-        selected = self.select_vantage_points(provider)
-        selected_names = {vp.hostname for vp in selected}
-        full_results = [
-            self.run_vantage_point(provider, vantage_point, full=True)
-            for vantage_point in selected
-        ]
-        sweep_results = [
-            self.run_vantage_point(provider, vantage_point, full=False)
-            for vantage_point in provider.vantage_points
-            if vantage_point.hostname not in selected_names
-        ]
-        return self.assemble_provider(name, full_results, sweep_results)
-
     def _colocation_for(
         self, provider: VpnProvider, report: ProviderReport
     ) -> ColocationReport:
@@ -872,16 +842,3 @@ class TestSuite:
                 )
             )
         return ColocationAnalysis().analyse_provider(evidence)
-
-    def run_study(self) -> StudyReport:
-        """Run the full study sequentially, in plan order.
-
-        This is the single-worker reference path; the runtime executor
-        (:mod:`repro.runtime.executor`) runs the same plan on a worker
-        pool and assembles an identical report.
-        """
-        plan = self.plan_study()
-        unit_results = {
-            unit.unit_id: self.run_unit(unit) for unit in plan.units
-        }
-        return self.assemble_study(plan, unit_results)

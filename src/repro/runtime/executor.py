@@ -5,8 +5,8 @@ into :class:`~repro.runtime.units.AuditUnit` records, dispatches them onto
 a worker pool, retries failures under a :class:`RetryPolicy`, persists
 every completed unit through a :class:`CheckpointStore`, publishes progress
 events, and finally assembles the per-unit results — in plan order, never
-completion order — into the same :class:`~repro.core.harness.StudyReport`
-a sequential run produces.  One loop serves both entry points; they differ
+completion order — into a :class:`~repro.core.harness.StudyReport` that is
+the same at any worker count.  One loop serves both entry points; they differ
 only in the result sink: ``run()`` keeps unit results in memory and returns
 the report, ``run_streamed()`` appends them to an archive and returns a
 :class:`StreamedStudy`.
@@ -459,10 +459,10 @@ _ResultSink = _MemorySink | _ArchiveSink
 class StudyExecutor:
     """Run a study as a unit graph on a worker pool.
 
-    ``workers=1`` executes inline on the coordinator's own world — exactly
-    the classic ``TestSuite.run_study()`` path.  ``checkpoint_dir`` makes
-    progress durable: re-running with the same directory (and parameters)
-    skips every unit whose results are already journalled there.
+    ``workers=1`` executes inline, in plan order, on the coordinator's own
+    world: the sequential path.  ``checkpoint_dir`` makes progress
+    durable: re-running with the same directory (and parameters) skips
+    every unit whose results are already journalled there.
     """
 
     def __init__(
@@ -557,6 +557,7 @@ class StudyExecutor:
         """Build an executor from a :class:`repro.config.StudyConfig`."""
         kwargs = dict(
             seed=config.seed,
+            source=config.resolved_source(),
             max_vantage_points=config.max_vantage_points,
             workers=config.workers,
             backend=config.backend,
@@ -565,10 +566,6 @@ class StudyExecutor:
             bus=bus,
             shards=config.shards,
         )
-        if config.source is not None:
-            kwargs["source"] = config.source
-        else:
-            kwargs["providers"] = config.provider_list
         kwargs.update(overrides)
         return cls(**kwargs)
 
@@ -872,7 +869,7 @@ class StudyExecutor:
             sink.add(shard_suite, shard, name, report)
 
     # ------------------------------------------------------------------
-    # Inline (workers=1): the sequential reference path
+    # Inline (workers=1): the sequential path
     # ------------------------------------------------------------------
     def _run_inline(
         self,

@@ -33,8 +33,8 @@ from repro.runtime.executor import StudyExecutor, StudyInterrupted
 from repro.runtime.retry import RetryPolicy, stable_hash
 
 if TYPE_CHECKING:
+    from repro.config import StudyConfig
     from repro.core.harness import StudyReport
-    from repro.obs.config import ObsConfig
 
 #: Per-provider verdict fields compared between snapshots (mirrors the
 #: verdict summary written by ``repro.core.archive``).
@@ -205,76 +205,59 @@ class LongitudinalReport:
 
 
 class LongitudinalScheduler:
-    """Drive *snapshots* executor runs and diff their verdicts.
+    """Drive ``config.snapshots`` executor runs and diff their verdicts.
+
+    Every snapshot runs *config* (its source, shards, workers, backend and
+    obs) through :meth:`StudyExecutor.from_config`, changing only the
+    seed, the vantage budget, the obs output paths and the checkpoint
+    directory.  ``config.archive_dir`` archives each snapshot under
+    ``<root>/snapshot-NN`` in the standard study-archive format, and
+    ``config.checkpoint_dir`` gives each snapshot a durable checkpoint
+    under ``<root>/snapshot-NN``, so an interrupted series resumes
+    mid-snapshot.  ``config.reseed=True`` rebuilds each snapshot's world
+    from a derived seed (an ecosystem that may drift); ``False`` models
+    pure re-measurement of a static ecosystem, where any non-empty diff is
+    itself a reproducibility failure.
 
     ``vantage_budgets`` (one entry per snapshot, ``None`` entries falling
-    back to ``max_vantage_points``) varies measurement effort across
-    snapshots; ``archive_root`` archives each snapshot under
-    ``<root>/snapshot-NN`` in the standard study-archive format.
+    back to ``config.max_vantage_points``) varies measurement effort
+    across snapshots.  ``stop_event`` halts the schedule between snapshots
+    and drains the snapshot in flight (the executor commits running units
+    first), and ``pool`` lets every snapshot share one external worker
+    pool.
     """
 
     def __init__(
         self,
-        seed: int = 2018,
-        snapshots: int = 2,
-        providers: Optional[list[str]] = None,
-        max_vantage_points: Optional[int] = 5,
+        config: "StudyConfig",
         vantage_budgets: Optional[Sequence[Optional[int]]] = None,
-        workers: int = 1,
-        backend: str = "thread",
         retry: Optional[RetryPolicy] = None,
-        archive_root: Optional[str | pathlib.Path] = None,
         bus: Optional[ev.EventBus] = None,
-        reseed: bool = True,
-        obs: Optional["ObsConfig"] = None,
         stop_event: Optional[threading.Event] = None,
         pool: Optional[futures.Executor] = None,
-        checkpoint_root: Optional[str | pathlib.Path] = None,
     ) -> None:
-        if snapshots < 1:
-            raise ValueError("snapshots must be >= 1")
-        if vantage_budgets is not None and len(vantage_budgets) != snapshots:
+        if (
+            vantage_budgets is not None
+            and len(vantage_budgets) != config.snapshots
+        ):
             raise ValueError(
                 "vantage_budgets must have one entry per snapshot "
-                f"({len(vantage_budgets)} != {snapshots})"
+                f"({len(vantage_budgets)} != {config.snapshots})"
             )
-        self.seed = seed
-        self.snapshots = snapshots
-        self.providers = providers
-        self.max_vantage_points = max_vantage_points
+        self.config = config
         self.vantage_budgets = (
             list(vantage_budgets) if vantage_budgets is not None else None
         )
-        self.workers = workers
-        self.backend = backend
         self.retry = retry
-        self.archive_root = (
-            pathlib.Path(archive_root) if archive_root is not None else None
-        )
         self.bus = bus
-        self.obs = obs if obs is not None and obs.enabled else None
-        # stop_event halts the schedule between snapshots and drains the
-        # snapshot in flight (the executor commits running units first);
-        # pool lets every snapshot share one external worker pool; and
-        # checkpoint_root gives each snapshot a durable checkpoint under
-        # <root>/snapshot-NN so an interrupted series resumes mid-snapshot.
         self.stop_event = stop_event
         self.pool = pool
-        self.checkpoint_root = (
-            pathlib.Path(checkpoint_root)
-            if checkpoint_root is not None
-            else None
-        )
-        # reseed=True rebuilds each snapshot's world from a derived seed
-        # (an ecosystem that may drift); reseed=False models pure
-        # re-measurement of a static ecosystem, where any non-empty diff
-        # is itself a reproducibility failure.
-        self.reseed = reseed
 
     def schedule(self) -> list[SnapshotSpec]:
+        config = self.config
         specs = []
-        for index in range(self.snapshots):
-            budget = self.max_vantage_points
+        for index in range(config.snapshots):
+            budget = config.max_vantage_points
             if self.vantage_budgets is not None:
                 override = self.vantage_budgets[index]
                 if override is not None:
@@ -283,9 +266,9 @@ class LongitudinalScheduler:
                 SnapshotSpec(
                     index=index,
                     seed=(
-                        derive_snapshot_seed(self.seed, index)
-                        if self.reseed
-                        else self.seed
+                        derive_snapshot_seed(config.seed, index)
+                        if config.reseed
+                        else config.seed
                     ),
                     max_vantage_points=budget,
                 )
@@ -295,53 +278,56 @@ class LongitudinalScheduler:
     def run(self) -> LongitudinalReport:
         from repro.core.archive import write_study_archive
 
+        config = self.config
+        archive_root = (
+            pathlib.Path(config.archive_dir)
+            if config.archive_dir is not None
+            else None
+        )
         report = LongitudinalReport()
         previous: Optional[dict[str, dict[str, object]]] = None
         for spec in self.schedule():
             if self.stop_event is not None and self.stop_event.is_set():
                 report.interrupted = True
                 break
-            snapshot_obs = self.obs
-            if snapshot_obs is not None and snapshot_obs.trace_path:
+            obs = config.obs
+            if obs.trace_path:
                 # One JSONL per snapshot: <path>.snapshot-NN so traces
                 # from consecutive snapshots never interleave.
-                snapshot_obs = snapshot_obs.replace(
-                    trace_path=f"{snapshot_obs.trace_path}.{spec.label}"
+                obs = obs.replace(trace_path=f"{obs.trace_path}.{spec.label}")
+            if obs.metrics_path:
+                obs = obs.replace(
+                    metrics_path=f"{obs.metrics_path}.{spec.label}"
                 )
-            if snapshot_obs is not None and snapshot_obs.metrics_path:
-                snapshot_obs = snapshot_obs.replace(
-                    metrics_path=f"{snapshot_obs.metrics_path}.{spec.label}"
-                )
-            executor = StudyExecutor(
-                seed=spec.seed,
-                providers=self.providers,
-                max_vantage_points=spec.max_vantage_points,
-                workers=self.workers,
-                backend=self.backend,
-                retry=self.retry,
+            executor = StudyExecutor.from_config(
+                config.replace(
+                    seed=spec.seed,
+                    max_vantage_points=spec.max_vantage_points,
+                    obs=obs,
+                    checkpoint_dir=(
+                        str(pathlib.Path(config.checkpoint_dir) / spec.label)
+                        if config.checkpoint_dir is not None
+                        else None
+                    ),
+                ),
                 bus=self.bus,
-                obs=snapshot_obs,
+                retry=self.retry,
                 stop_event=self.stop_event,
                 pool=self.pool,
-                checkpoint_dir=(
-                    str(self.checkpoint_root / spec.label)
-                    if self.checkpoint_root is not None
-                    else None
-                ),
             )
             try:
                 study = executor.run()
             except StudyInterrupted:
-                # The snapshot's completed units are checkpointed (when a
-                # checkpoint_root is set); the series stops cleanly here
-                # and a re-run resumes this snapshot mid-flight.
+                # The snapshot's completed units are checkpointed (when
+                # config.checkpoint_dir is set); the series stops cleanly
+                # here and a re-run resumes this snapshot mid-flight.
                 report.interrupted = True
                 break
             verdicts = verdict_map(study)
             archive_dir = None
-            if self.archive_root is not None:
+            if archive_root is not None:
                 archive_dir = write_study_archive(
-                    study, self.archive_root / spec.label
+                    study, archive_root / spec.label
                 )
             # The snapshot's worlds are reference cycles, and units of
             # other jobs on a shared pool may hold the collector paused.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.codec import from_jsonable, to_jsonable
 from repro.runtime.retry import stable_hash
@@ -88,8 +88,8 @@ class AuditUnit:
 class StudyPlan:
     """The ordered unit list plus the parameters that produced it.
 
-    The order is the sequential harness's execution order; assembling unit
-    results in plan order reproduces ``TestSuite.run_study()`` exactly.
+    The order is the inline executor's execution order; assembly walks it,
+    so the report never depends on the order units actually ran in.
     """
 
     seed: int
@@ -141,11 +141,11 @@ class StudyPlan:
 def decompose_study(suite: "TestSuite", shard: int = 0) -> StudyPlan:
     """Decompose *suite*'s world into the study's unit graph.
 
-    Mirrors ``TestSuite.run_study``: providers in catalogue order; per
-    provider, the selected endpoints (full battery) in selection order,
-    then a single sweep unit over every remaining endpoint.  ``shard``
-    tags every unit with the world shard it belongs to; a sharded plan is
-    the concatenation of per-shard decompositions in shard order.
+    Providers in the world's order; per provider, the selected endpoints
+    (full battery) in selection order, then a single sweep unit over every
+    remaining endpoint.  ``shard`` tags every unit with the world shard it
+    belongs to; a sharded plan is the concatenation of per-shard
+    decompositions in shard order.
     """
     world = suite.world
     plan = StudyPlan(
@@ -183,9 +183,3 @@ def decompose_study(suite: "TestSuite", shard: int = 0) -> StudyPlan:
                 )
             )
     return plan
-
-
-def units_for_provider(
-    plan: StudyPlan, provider: str
-) -> Iterable[AuditUnit]:
-    return (u for u in plan.units if u.provider == provider)

@@ -120,10 +120,13 @@ class JobScheduler:
             return record
         with self._lock:
             event = self._stop_events.get(job_id)
-            if event is None:
+            if event is not None:
+                event.set()
+            elif self.queue.get(job_id).state is not JobState.RUNNING:
                 return None
+            # Otherwise the job is claimed but its runner has not
+            # registered yet; it sets the stop event when it does.
             self._cancelled.add(job_id)
-            event.set()
         return self.queue.get(job_id)
 
     # ------------------------------------------------------------------
@@ -197,7 +200,8 @@ class JobScheduler:
             self._stats[record.job_id] = collector
             self._event_logs[record.job_id] = event_log
             self._aggregators[record.job_id] = aggregator
-        if self._shutdown.is_set():
+            cancelled = record.job_id in self._cancelled
+        if cancelled or self._shutdown.is_set():
             stop_event.set()
         try:
             if record.request.kind is JobKind.SNAPSHOTS:
@@ -315,22 +319,19 @@ class JobScheduler:
         from repro.runtime.scheduler import LongitudinalScheduler
 
         config = record.request.config
-        scheduler = LongitudinalScheduler(
-            seed=config.seed,
-            snapshots=config.snapshots,
-            providers=config.provider_list,
-            max_vantage_points=config.max_vantage_points,
-            workers=self.config.workers,
-            backend="thread",
-            archive_root=self.store.archive_dir(record.job_id),
+        report = LongitudinalScheduler(
+            config.replace(
+                workers=self.config.workers,
+                backend="thread",
+                archive_dir=str(self.store.archive_dir(record.job_id)),
+                checkpoint_dir=str(
+                    self.store.checkpoint_dir(record.job_id)
+                ),
+            ),
             bus=bus,
-            reseed=config.reseed,
-            obs=config.obs if config.obs.enabled else None,
             stop_event=stop_event,
             pool=self.pool,
-            checkpoint_root=self.store.checkpoint_dir(record.job_id),
-        )
-        report = scheduler.run()
+        ).run()
         self.store.store_longitudinal_result(record, report)
         progress = _progress_dict(self._collector_stats(record.job_id))
         progress["snapshots_completed"] = len(report.snapshots)

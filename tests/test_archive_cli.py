@@ -13,20 +13,14 @@ from repro.core.archive import (
     write_study_archive,
     write_unit_result,
 )
-from repro.core.harness import TestSuite
 
 
 @pytest.fixture(scope="module")
-def small_study(small_world_module):
-    suite = TestSuite(small_world_module)
-    return suite.run_study()
+def small_study():
+    from repro.api import run_full_study
+    from repro.config import StudyConfig
 
-
-@pytest.fixture(scope="module")
-def small_world_module():
-    from repro.world import World
-
-    return World.build(provider_names=["Seed4.me", "Mullvad"])
+    return run_full_study(StudyConfig(providers=["Seed4.me", "Mullvad"]))
 
 
 class TestArchive:
@@ -159,6 +153,10 @@ class TestCli:
             ["study", "--providers", "Seed4.me", "--flight-recorder", "-1"],
             ["study", "--providers", "Seed4.me", "--stage-sample", "0"],
             ["serve", "--workers", "0"],
+            pytest.param(
+                ["audit", "MyIP.io", "--max-vps", "0"],
+                id="audit --max-vps 0",
+            ),
         ],
         ids=lambda argv: " ".join(argv[-2:]),
     )

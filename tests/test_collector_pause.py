@@ -369,6 +369,7 @@ class TestDropSites:
             daemon.shutdown()
 
     def test_longitudinal_snapshot(self, world_refs, paused):
+        from repro.config import StudyConfig
         from repro.runtime import events as ev
         from repro.runtime.scheduler import LongitudinalScheduler
 
@@ -383,10 +384,12 @@ class TestDropSites:
         bus = ev.EventBus()
         bus.subscribe(on_event)
         report = LongitudinalScheduler(
-            seed=2018,
-            snapshots=2,
-            providers=PROVIDERS,
-            max_vantage_points=1,
+            StudyConfig(
+                seed=2018,
+                snapshots=2,
+                providers=PROVIDERS,
+                max_vantage_points=1,
+            ),
             bus=bus,
         ).run()
         assert len(report.snapshots) == 2

@@ -50,12 +50,9 @@ GOLDEN_STAGE_COUNTS = {
 
 class TestWorldDeterminism:
     def test_identical_audits_across_builds(self):
-        from repro.api import build_study
-        from repro.core.harness import TestSuite
+        from repro.api import audit_provider
 
-        def verdict(world):
-            suite = TestSuite(world)
-            report = suite.audit_provider("Seed4.me")
+        def verdict(report):
             return (
                 report.injection_detected,
                 report.ipv6_leak_detected,
@@ -68,9 +65,31 @@ class TestWorldDeterminism:
                 ],
             )
 
-        first = verdict(build_study(providers=["Seed4.me"]))
-        second = verdict(build_study(providers=["Seed4.me"]))
+        first = verdict(audit_provider("Seed4.me"))
+        second = verdict(audit_provider("Seed4.me"))
         assert first == second
+
+    def test_audit_provider_writes_the_study_bytes(self, tmp_path):
+        """A one-provider audit is that provider's study, byte for byte.
+
+        NordVPN's archived sweep RTTs depend on ``run_unit`` resetting the
+        clock, DNS txids and ephemeral ports before every unit.
+        """
+        from repro.api import audit_provider, run_full_study
+        from repro.config import StudyConfig
+        from repro.core.archive import (
+            archive_fingerprint,
+            write_provider_archive,
+        )
+
+        audited = write_provider_archive(
+            audit_provider("NordVPN"), tmp_path / "audit"
+        )
+        study = run_full_study(StudyConfig(providers=["NordVPN"]))
+        studied = write_provider_archive(
+            study.providers["NordVPN"], tmp_path / "study"
+        )
+        assert archive_fingerprint(audited) == archive_fingerprint(studied)
 
     def test_vantage_addresses_stable(self):
         from repro.vpn.catalog import provider_profiles

@@ -52,9 +52,19 @@ class TestSelection:
         )
 
 
+@pytest.fixture(scope="module")
+def reports(small_world):
+    """Provider name -> report, from one study of the small world's mix."""
+    from repro.api import run_full_study
+    from repro.config import StudyConfig
+
+    study = run_full_study(StudyConfig(providers=list(small_world.providers)))
+    return study.providers
+
+
 class TestProviderReports:
-    def test_seed4me_report_verdicts(self, small_suite):
-        report = small_suite.audit_provider("Seed4.me")
+    def test_seed4me_report_verdicts(self, reports):
+        report = reports["Seed4.me"]
         assert report.injection_detected
         assert report.ipv6_leak_detected
         assert not report.dns_leak_detected
@@ -63,16 +73,16 @@ class TestProviderReports:
         assert not report.proxy_detected
         assert not report.tls_interception_detected
 
-    def test_mullvad_clean(self, small_suite):
-        report = small_suite.audit_provider("Mullvad")
+    def test_mullvad_clean(self, reports):
+        report = reports["Mullvad"]
         assert not report.injection_detected
         assert not report.ipv6_leak_detected
         assert not report.dns_leak_detected
         assert report.fails_open is False
         assert not report.misrepresents_locations
 
-    def test_acevpn_openvpn_client_skips_leak_tests(self, small_suite):
-        report = small_suite.audit_provider("AceVPN")
+    def test_acevpn_openvpn_client_skips_leak_tests(self, reports):
+        report = reports["AceVPN"]
         # OpenVPN-config services get no client leak tests (Section 6.5).
         assert report.fails_open is None
         for results in report.full_results:
@@ -82,8 +92,8 @@ class TestProviderReports:
         # But the proxy detection still runs — and fires for AceVPN.
         assert report.proxy_detected
 
-    def test_myip_misrepresentation(self, small_suite):
-        report = small_suite.audit_provider("MyIP.io")
+    def test_myip_misrepresentation(self, reports):
+        report = reports["MyIP.io"]
         assert report.misrepresents_locations
         clusters = report.colocation.cross_country_clusters
         flattened = {h for cluster in clusters for h in cluster}
@@ -92,14 +102,14 @@ class TestProviderReports:
             "fi.myip.io",
         }
 
-    def test_summary_text_readable(self, small_suite):
-        report = small_suite.audit_provider("Seed4.me")
+    def test_summary_text_readable(self, reports):
+        report = reports["Seed4.me"]
         text = report.summary()
         assert "Seed4.me" in text
         assert "DETECTED" in text
 
-    def test_sweep_covers_remaining_vantage_points(self, small_suite, small_world):
-        report = small_suite.audit_provider("Freedome VPN")
+    def test_sweep_covers_remaining_vantage_points(self, reports, small_world):
+        report = reports["Freedome VPN"]
         provider = small_world.provider("Freedome VPN")
         assert (
             len(report.full_results) + len(report.sweep_results)
@@ -111,10 +121,10 @@ class TestProviderReports:
             assert results.geolocation is not None
             assert results.dom_collection is None
 
-    def test_results_serialise_to_json(self, small_suite):
+    def test_results_serialise_to_json(self, reports):
         import json
 
-        report = small_suite.audit_provider("MyIP.io")
+        report = reports["MyIP.io"]
         payload = report.full_results[0].to_json()
         decoded = json.loads(payload)
         assert decoded["provider"] == "MyIP.io"

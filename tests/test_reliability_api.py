@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.harness import TestSuite
+from repro.runtime.executor import StudyExecutor
 from repro.vpn.client import TunnelConnectionError, VpnClient
 
 
@@ -48,8 +48,8 @@ class TestFlakyEndpoints:
         client.disconnect()
 
     def test_harness_retries_transparently(self, world):
-        suite = TestSuite(world)
-        report = suite.audit_provider("PureVPN")
+        executor = StudyExecutor(seed=2018, providers=["PureVPN"])
+        report = executor.run().providers["PureVPN"]
         # Every vantage point ends up measured despite flaky endpoints...
         total = len(report.full_results) + len(report.sweep_results)
         assert total == len(world.provider("PureVPN").vantage_points)
@@ -57,7 +57,7 @@ class TestFlakyEndpoints:
             r.connected for r in report.full_results + report.sweep_results
         )
         # ...at the cost of recorded reconnects.
-        assert suite.connect_retries > 0
+        assert executor.stats.connect_retries > 0
 
 
 class TestTopLevelApi:
@@ -73,6 +73,24 @@ class TestTopLevelApi:
         report = audit_provider("MyIP.io")
         assert report.provider == "MyIP.io"
         assert report.misrepresents_locations
+
+    def test_audit_provider_carries_the_study_metrics(self):
+        from repro import ObsConfig, StudyConfig, audit_provider, run_full_study
+
+        def deterministic(snapshot):
+            # Wall-time histograms vary run to run; their counts do not.
+            counts = {
+                name: histogram["count"]
+                for name, histogram in snapshot["histograms"].items()
+            }
+            return snapshot["counters"], counts
+
+        config = StudyConfig(max_vantage_points=1, obs=ObsConfig(metrics=True))
+        report = audit_provider("Seed4.me", config=config)
+        study = run_full_study(config.replace(providers=["Seed4.me"]))
+        assert deterministic(report.obs_metrics) == deterministic(
+            study.obs_metrics
+        )
 
     def test_version_exported(self):
         import repro

@@ -1,8 +1,8 @@
 """Tests for repro.runtime — the parallel, checkpointable execution engine.
 
 Covers unit decomposition, the shared retry policy, the event bus and its
-subscribers, checkpoint persistence/resume, executor-vs-sequential parity,
-and the longitudinal scheduler.
+subscribers, checkpoint persistence/resume, executor parity with a pinned
+reference archive, and the longitudinal scheduler.
 """
 
 from __future__ import annotations
@@ -10,9 +10,12 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+import threading
 
 import pytest
 
+from repro.config import StudyConfig
+from repro.core.archive import archive_fingerprint, write_study_archive
 from repro.core.harness import TestSuite
 from repro.runtime import events as ev
 from repro.runtime.checkpoint import CheckpointMismatchError, CheckpointStore
@@ -28,6 +31,13 @@ from repro.runtime.units import (
 from repro.world import World
 
 SMALL = ["Seed4.me", "Mullvad"]
+# archive_fingerprint of the SMALL study at seed 2018 and
+# max_vantage_points=2, recorded from the sequential harness loop (plan,
+# run each unit in plan order, assemble) before that loop was folded into
+# the executor.  Every backend must still write exactly these bytes.
+SMALL_FINGERPRINT = (
+    "1a9d83d0eea4e6f18f4ec989047580f74bc8a9c5540824c4a16eed0119e86f15"
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,19 +47,15 @@ def small_plan_suite():
 
 
 @pytest.fixture(scope="module")
-def sequential_study(small_plan_suite):
-    return small_plan_suite.run_study()
+def small_study():
+    return StudyExecutor(
+        seed=2018, providers=SMALL, max_vantage_points=2
+    ).run()
 
 
-def archive_map(study, root: pathlib.Path) -> dict:
-    """Archive *study* under *root* and return {relative path: bytes}."""
-    from repro.core.archive import write_study_archive
-
-    write_study_archive(study, root)
-    return {
-        path.relative_to(root): path.read_bytes()
-        for path in sorted(root.rglob("*.json"))
-    }
+def fingerprint(study, root: pathlib.Path) -> str:
+    """Archive *study* under *root* and return the archive fingerprint."""
+    return archive_fingerprint(write_study_archive(study, root))
 
 
 class TestRetryPolicy:
@@ -218,8 +224,8 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointMismatchError):
             CheckpointStore(tmp_path / "ck").open(other)
 
-    def test_record_and_reload_round_trip(self, tmp_path, sequential_study):
-        results = sequential_study.providers["Seed4.me"].full_results[:1]
+    def test_record_and_reload_round_trip(self, tmp_path, small_study):
+        results = small_study.providers["Seed4.me"].full_results[:1]
         unit = AuditUnit(
             provider="Seed4.me", kind=UnitKind.FULL,
             hostnames=(results[0].hostname,), seed=5,
@@ -267,30 +273,24 @@ class TestStudyExecutor:
         with pytest.raises(ValueError):
             StudyExecutor(backend="rayon")
 
-    def test_inline_run_matches_sequential_suite(
-        self, tmp_path, sequential_study
-    ):
+    def test_inline_run_matches_sequential_suite(self, tmp_path):
         executor = StudyExecutor(
             seed=2018, providers=SMALL, max_vantage_points=2, workers=1
         )
         report = executor.run()
-        assert archive_map(report, tmp_path / "ex") == archive_map(
-            sequential_study, tmp_path / "seq"
-        )
+        assert fingerprint(report, tmp_path / "ex") == SMALL_FINGERPRINT
         assert executor.stats.completed_units == len(executor.plan.units)
         assert executor.stats.failed_units == 0
 
-    def test_threaded_run_is_byte_identical(self, tmp_path, sequential_study):
+    def test_threaded_run_is_byte_identical(self, tmp_path):
         executor = StudyExecutor(
             seed=2018, providers=SMALL, max_vantage_points=2,
             workers=3, backend="thread",
         )
         report = executor.run()
-        assert archive_map(report, tmp_path / "par") == archive_map(
-            sequential_study, tmp_path / "seq"
-        )
+        assert fingerprint(report, tmp_path / "par") == SMALL_FINGERPRINT
 
-    def test_resume_after_partial_run(self, tmp_path, sequential_study):
+    def test_resume_after_partial_run(self, tmp_path):
         checkpoint = tmp_path / "ck"
         first = StudyExecutor(
             seed=2018, providers=SMALL, max_vantage_points=2,
@@ -311,9 +311,7 @@ class TestStudyExecutor:
         started = [e for e in events if isinstance(e, ev.UnitStarted)]
         total = len(second.plan.units)
         assert len(started) == total - 2
-        assert archive_map(resumed, tmp_path / "res") == archive_map(
-            sequential_study, tmp_path / "seq"
-        )
+        assert fingerprint(resumed, tmp_path / "res") == SMALL_FINGERPRINT
 
     def test_resume_rejects_different_parameters(self, tmp_path):
         checkpoint = tmp_path / "ck"
@@ -421,8 +419,8 @@ class TestLongitudinalScheduler:
         )
 
         scheduler = LongitudinalScheduler(
-            seed=2018, snapshots=3, vantage_budgets=[None, 1, 3],
-            max_vantage_points=5,
+            StudyConfig(seed=2018, snapshots=3, max_vantage_points=5),
+            vantage_budgets=[None, 1, 3],
         )
         specs = scheduler.schedule()
         assert [s.index for s in specs] == [0, 1, 2]
@@ -435,9 +433,11 @@ class TestLongitudinalScheduler:
         from repro.runtime.scheduler import LongitudinalScheduler
 
         with pytest.raises(ValueError):
-            LongitudinalScheduler(snapshots=0)
+            StudyConfig(snapshots=0)
         with pytest.raises(ValueError):
-            LongitudinalScheduler(snapshots=2, vantage_budgets=[1])
+            LongitudinalScheduler(
+                StudyConfig(snapshots=2), vantage_budgets=[1]
+            )
 
     def test_diff_verdicts_reports_changes(self):
         from repro.runtime.scheduler import diff_verdicts
@@ -467,9 +467,12 @@ class TestLongitudinalScheduler:
         # reseed=False models pure re-measurement of a static ecosystem:
         # every diff must come out empty.
         scheduler = LongitudinalScheduler(
-            seed=2018, snapshots=2, providers=["Mullvad"],
-            max_vantage_points=1, vantage_budgets=[1, 1],
-            archive_root=tmp_path / "longitudinal", reseed=False,
+            StudyConfig(
+                seed=2018, snapshots=2, providers=["Mullvad"],
+                max_vantage_points=1,
+                archive_dir=str(tmp_path / "longitudinal"), reseed=False,
+            ),
+            vantage_budgets=[1, 1],
         )
         report = scheduler.run()
         assert len(report.snapshots) == 2
@@ -479,10 +482,55 @@ class TestLongitudinalScheduler:
             assert archived.providers == ["Mullvad"]
         assert "2 snapshot(s)" in report.summary()
 
-    def test_verdict_map_covers_all_fields(self, sequential_study):
+    def test_generated_series_plans_its_source_on_its_shards(
+        self, tmp_path, monkeypatch
+    ):
+        """Every snapshot audits the config's source on its shards, and
+        snapshot 0 writes the one-shot study's archive."""
+        from repro.api import run_full_study, run_longitudinal_study
+        from repro.source import StudySource
+
+        source = StudySource.generated(3, generator_seed=7, vantage_points=2)
+        stop = threading.Event()
+        planned: list[int] = []
+        shards: set[int] = set()
+
+        def record(event) -> None:
+            if isinstance(event, ev.StudyStarted):
+                planned.append(event.providers)
+                if event.providers != 3:
+                    stop.set()  # the wrong population: stop before any unit
+            elif isinstance(event, ev.UnitStarted):
+                shards.add(event.shard)
+
+        class RecordedBus(ev.EventBus):
+            def __init__(self) -> None:
+                super().__init__()
+                self.subscribe(record)
+
+        config = StudyConfig(
+            seed=2018, source=source, shards=2, snapshots=2,
+            max_vantage_points=1, archive_dir=str(tmp_path / "snaps"),
+        )
+        with monkeypatch.context() as patch:
+            # The series builds one bus per snapshot executor.
+            patch.setattr(ev, "EventBus", RecordedBus)
+            report = run_longitudinal_study(config, stop_event=stop)
+        assert planned == [3, 3]
+        assert shards == {0, 1}
+        assert not report.interrupted
+        names = source.provider_names(2018)
+        for snapshot in report.snapshots:
+            assert sorted(snapshot.verdicts) == sorted(names)
+        single = run_full_study(config.replace(snapshots=1, archive_dir=None))
+        assert fingerprint(single, tmp_path / "single") == archive_fingerprint(
+            tmp_path / "snaps" / "snapshot-00"
+        )
+
+    def test_verdict_map_covers_all_fields(self, small_study):
         from repro.runtime.scheduler import VERDICT_FIELDS, verdict_map
 
-        flattened = verdict_map(sequential_study)
-        assert set(flattened) == set(sequential_study.providers)
+        flattened = verdict_map(small_study)
+        assert set(flattened) == set(small_study.providers)
         for verdicts in flattened.values():
             assert set(verdicts) == set(VERDICT_FIELDS)

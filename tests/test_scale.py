@@ -219,15 +219,16 @@ class TestGeneratedProviders:
             source.profiles(["NotGenerated-9999"])
 
     def test_generated_world_is_auditable(self):
-        from repro.core.harness import TestSuite
+        from repro.runtime.executor import StudyExecutor
         from repro.source import StudySource
         from repro.world_factory import ShardedWorldFactory
 
         source = StudySource.generated(6, generator_seed=7)
-        world = ShardedWorldFactory.clone(2018, source, shard=0, shards=2)
         names = ShardedWorldFactory.shard_names(source, 2018, 0, 2)
-        suite = TestSuite(world, max_vantage_points=2)
-        report = suite.audit_provider(names[0])
+        study = StudyExecutor(
+            seed=2018, source=source, shards=2, max_vantage_points=2
+        ).run()
+        report = study.providers[names[0]]
         assert report.full_results  # the audit actually measured something
 
 

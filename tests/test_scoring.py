@@ -2,18 +2,16 @@
 
 import pytest
 
-from repro.core.harness import TestSuite
 from repro.core.scoring import build_selection_guide, score_provider
 
 
 @pytest.fixture(scope="module")
 def study():
-    from repro.world import World
+    from repro.api import run_full_study
+    from repro.config import StudyConfig
 
-    world = World.build(
-        provider_names=["Seed4.me", "Mullvad", "Freedome VPN", "AceVPN"]
-    )
-    return TestSuite(world).run_study()
+    providers = ["Seed4.me", "Mullvad", "Freedome VPN", "AceVPN"]
+    return run_full_study(StudyConfig(providers=providers))
 
 
 class TestScorecards:

@@ -476,6 +476,32 @@ class TestDaemonHttp:
         finally:
             daemon.shutdown()
 
+    def test_cancel_between_claim_and_runner_start(self, daemon, monkeypatch):
+        """A job already claimed (running) whose runner thread has not
+        started yet still cancels, instead of reading as terminal."""
+        from repro.serve.client import ServeClient
+
+        scheduler = daemon.scheduler
+        claimed, release = threading.Event(), threading.Event()
+        run_job = scheduler._run_job
+
+        def held_run_job(record):
+            claimed.set()
+            release.wait(timeout=60)
+            run_job(record)
+
+        monkeypatch.setattr(scheduler, "_run_job", held_run_job)
+        client = ServeClient(daemon.endpoint)
+        job = client.submit(_request(providers=["Seed4.me"])).job_id
+        assert claimed.wait(timeout=60)
+        try:
+            reply = client.cancel(job)
+        finally:
+            release.set()
+        assert reply.record.state.value == "running"
+        final = client.wait(job, timeout_s=300)
+        assert final.record.state.value == "cancelled"
+
     def test_recheck_job_stores_queryable_trace(self, daemon):
         from repro.serve.client import ServeClient
 

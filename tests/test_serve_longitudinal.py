@@ -13,18 +13,24 @@ import time
 import pytest
 
 
-def _series_request(seed=2018, snapshots=2, priority=0):
+def _series_config(seed=2018, snapshots=2, **changes):
     from repro.config import StudyConfig
+
+    return StudyConfig(
+        seed=seed,
+        providers=("Seed4.me",),
+        max_vantage_points=2,
+        snapshots=snapshots,
+        **changes,
+    )
+
+
+def _series_request(seed=2018, snapshots=2, priority=0):
     from repro.serve.protocol import JobKind, JobRequest
 
     return JobRequest(
         kind=JobKind.SNAPSHOTS,
-        config=StudyConfig(
-            seed=seed,
-            providers=("Seed4.me",),
-            max_vantage_points=2,
-            snapshots=snapshots,
-        ),
+        config=_series_config(seed, snapshots),
         priority=priority,
     )
 
@@ -59,13 +65,9 @@ class TestSchedulerStop:
             else None
         )
         scheduler = LongitudinalScheduler(
-            seed=2018,
-            snapshots=3,
-            providers=["Seed4.me"],
-            max_vantage_points=2,
+            _series_config(snapshots=3, checkpoint_dir=str(tmp_path / "ckpt")),
             bus=bus,
             stop_event=stop,
-            checkpoint_root=tmp_path / "ckpt",
         )
         report = scheduler.run()
         assert report.interrupted
@@ -84,12 +86,7 @@ class TestSchedulerStop:
 
         stop = threading.Event()
         stop.set()
-        report = LongitudinalScheduler(
-            snapshots=2,
-            providers=["Seed4.me"],
-            max_vantage_points=2,
-            stop_event=stop,
-        ).run()
+        report = LongitudinalScheduler(_series_config(), stop_event=stop).run()
         assert report.interrupted
         assert report.snapshots == []
 
@@ -107,13 +104,9 @@ class TestSchedulerStop:
             else None
         )
         scheduler = LongitudinalScheduler(
-            seed=2018,
-            snapshots=2,
-            providers=["Seed4.me"],
-            max_vantage_points=2,
+            _series_config(checkpoint_dir=str(tmp_path / "ckpt")),
             bus=bus,
             stop_event=stop,
-            checkpoint_root=tmp_path / "ckpt",
         )
         report = scheduler.run()
         assert report.interrupted
@@ -134,38 +127,19 @@ class TestSchedulerStop:
             if isinstance(e, ev.StudyFinished)
             else None
         )
-        LongitudinalScheduler(
-            seed=2018,
-            snapshots=2,
-            providers=["Seed4.me"],
-            max_vantage_points=2,
-            bus=bus,
-            stop_event=stop,
-            checkpoint_root=tmp_path / "ckpt",
-        ).run()
+        config = _series_config(checkpoint_dir=str(tmp_path / "ckpt"))
+        LongitudinalScheduler(config, bus=bus, stop_event=stop).run()
 
         resumed_bus = ev.EventBus()
         stats = ev.StatsCollector()
         resumed_bus.subscribe(stats)
-        report = LongitudinalScheduler(
-            seed=2018,
-            snapshots=2,
-            providers=["Seed4.me"],
-            max_vantage_points=2,
-            bus=resumed_bus,
-            checkpoint_root=tmp_path / "ckpt",
-        ).run()
+        report = LongitudinalScheduler(config, bus=resumed_bus).run()
         assert not report.interrupted
         assert len(report.snapshots) == 2
         # Snapshot 1's units came from its checkpoint, not re-execution.
         assert stats.stats.skipped_units >= 2
 
-        clean = LongitudinalScheduler(
-            seed=2018,
-            snapshots=2,
-            providers=["Seed4.me"],
-            max_vantage_points=2,
-        ).run()
+        clean = LongitudinalScheduler(_series_config()).run()
         assert [s.verdicts for s in report.snapshots] == (
             [s.verdicts for s in clean.snapshots]
         )
@@ -276,9 +250,20 @@ class TestSeriesJobs:
         finally:
             successor.shutdown()
 
-    def test_cancel_running_series(self, tmp_path):
+    def test_cancel_running_series(self, tmp_path, monkeypatch):
+        from repro.core.harness import TestSuite
         from repro.serve.client import ServeClient
 
+        # The series' first unit waits until the cancel has returned, so
+        # the job cannot finish before the cancel reaches it.
+        cancelled = threading.Event()
+        run_unit = TestSuite.run_unit
+
+        def held_run_unit(suite, unit):
+            cancelled.wait(timeout=60)
+            return run_unit(suite, unit)
+
+        monkeypatch.setattr(TestSuite, "run_unit", held_run_unit)
         daemon = _daemon(tmp_path, workers=1, max_active_jobs=1)
         try:
             client = ServeClient(daemon.endpoint)
@@ -288,7 +273,10 @@ class TestSeriesJobs:
                 if client.status(job_id).record.state.value == "running":
                     break
                 time.sleep(0.02)
-            reply = client.cancel(job_id)
+            try:
+                reply = client.cancel(job_id)
+            finally:
+                cancelled.set()
             assert reply.record.state.value in {"running", "cancelled"}
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
