@@ -32,7 +32,7 @@ same object the Python API takes — the CLI is a thin argv-to-config shim.
 ``repro study`` installs a SIGTERM/SIGINT handler that drains instead of
 dying: in-flight units finish, the checkpoint flushes, and the process
 exits ``128 + signum`` — re-running with the same ``--resume`` directory
-continues where it stopped.
+(or, for ``--stream``, the same ``--archive``) continues where it stopped.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument(
         "--resume", metavar="DIR",
-        help="checkpoint directory; completed units found there are "
-             "skipped and new ones recorded, so a killed study resumes",
+        help="checkpoint directory; units found there are skipped, new "
+             "ones recorded, and it ends as the study's archive",
     )
     study.add_argument(
         "--snapshots", type=int, default=1, metavar="N",
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--keep-checkpoints", action="store_true",
-        help="keep finished jobs' checkpoints instead of pruning them",
+        help="keep the plan pin and journal in finished jobs' archives",
     )
     serve.add_argument(
         "--quiet", action="store_true",
@@ -408,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prune = checkpoint_sub.add_parser(
         "prune",
-        help="delete checkpoint state: a study --resume directory, or a "
-             "serve state directory (prunes every finished job's "
-             "checkpoint, never a queued or running one)",
+        help="delete checkpoint state: a finished archive's plan pin and "
+             "journal, an unfinished checkpoint whole, or every finished "
+             "job's in a serve state directory; refuses non-checkpoints",
     )
     prune.add_argument("path", help="checkpoint or serve-state directory")
 
@@ -518,7 +518,9 @@ def cmd_study(
             f"\ninterrupted by signal {received['signum']}: "
             f"{exc.completed} unit(s) committed, {exc.remaining} left"
             + (
-                f"; resume with --resume {config.checkpoint_dir}"
+                f"; resume by re-running with --archive {config.archive_dir}"
+                if config.stream
+                else f"; resume with --resume {config.checkpoint_dir}"
                 if config.checkpoint_dir
                 else " (no --resume directory: progress was not saved)"
             ),
@@ -578,8 +580,8 @@ def cmd_study(
             if panel is not None:
                 panel.stop()
     except (CheckpointMismatchError, ArchiveReadError) as exc:
-        # --resume named another study's checkpoint (nothing ran), or a
-        # streamed archive lost a committed unit's bytes under the run.
+        # --resume or --stream --archive named another study's directory
+        # (nothing ran), or a streamed archive lost a unit's bytes under it.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -938,7 +940,7 @@ def cmd_checkpoint_prune(path: str) -> int:
 
     root = pathlib.Path(path)
     if not root.exists():
-        print(f"no such directory: {path}", file=sys.stderr)
+        print(f"error: no such directory: {path}", file=sys.stderr)
         return 2
     if (root / "jobs").is_dir():
         # A serve state directory: prune every *finished* job's
@@ -954,6 +956,9 @@ def cmd_checkpoint_prune(path: str) -> int:
     from repro.runtime.checkpoint import CheckpointStore
 
     count = CheckpointStore(root).prune()
+    if not count:
+        print(f"error: not a checkpoint: {path}", file=sys.stderr)
+        return 2
     print(f"pruned {count} file(s) from {path}")
     return 0
 

@@ -37,8 +37,8 @@ class StudyConfig:
 
     Scheduling (must never change results): ``workers``, ``backend``,
     ``shards`` (worlds built per-provider-slice instead of monolithically),
-    ``stream`` (archive-as-you-go, flat memory; requires ``archive_dir``),
-    ``checkpoint_dir`` (resume a killed study), ``snapshots`` +
+    ``stream`` (archive-as-you-go, flat memory; ``archive_dir`` is its
+    checkpoint), ``checkpoint_dir`` (resume a killed study), ``snapshots`` +
     ``reseed`` (longitudinal re-runs), ``archive_dir``, ``progress``.
 
     Observability (a side channel — never perturbs results): ``obs``.
@@ -76,6 +76,8 @@ class StudyConfig:
             raise ValueError("shards must be >= 1")
         if self.stream and not self.archive_dir:
             raise ValueError("stream=True requires archive_dir")
+        if self.stream and self.checkpoint_dir not in (None, self.archive_dir):
+            raise ValueError("a streamed study checkpoints into archive_dir")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.backend not in _BACKENDS:
@@ -123,9 +125,9 @@ class ServeConfig:
     while this object fixes what is per-process — where state lives
     (``state_dir``), the listen address, the size of the one shared worker
     pool every job multiplexes onto (``workers``), how many jobs may run
-    concurrently (``max_active_jobs``), and whether checkpoints of
-    finished jobs are kept for forensics instead of pruned
-    (``keep_checkpoints``).
+    concurrently (``max_active_jobs``), and whether a finished job's
+    archive keeps its plan pin and journal for forensics instead of having
+    them pruned (``keep_checkpoints``).
     """
 
     host: str = "127.0.0.1"

@@ -160,9 +160,9 @@ def write_unit_result(
 ) -> pathlib.Path:
     """Persist one vantage point's results under ``<root>/<provider>/``.
 
-    This is the unit of incremental persistence: study checkpoints write
+    This is the unit of incremental persistence: study checkpoints append
     completed work units through it, and :func:`write_provider_archive`
-    writes final archives through it, so both directions share one format
+    writes with the same file writer, so both share one format
     (``<root>/<provider slug>/<hostname slug>.json``) byte for byte.
     """
     directory = pathlib.Path(root) / _slug(results.provider)
@@ -202,9 +202,9 @@ def read_vantage_point_results(
 class ArchiveReadError(RuntimeError):
     """A committed unit's archived results could not be read back.
 
-    A journalled unit always has its bytes on disk, so a missing or torn
-    file at assembly means the archive was damaged under the run; raising
-    keeps that from silently becoming connect failures in the report.
+    A unit committed by the run always has its bytes on disk, so a
+    missing or torn file at assembly means the archive was damaged under
+    the run; raising keeps that from silently becoming connect failures.
     """
 
     def __init__(self, path: pathlib.Path, unit_id: str, cause: Exception):
@@ -229,14 +229,13 @@ class StreamingArchiveWriter:
     written all at once.
 
     Crash behaviour: files are written whole, results before the unit is
-    checkpointed, so an interrupted study leaves a readable prefix that a
-    resume (``repro.runtime.checkpoint``) completes rather than restarts.
+    journalled, so an interrupted study leaves a readable prefix that a
+    resume (``repro.runtime.checkpoint.CheckpointStore``) completes.
     """
 
     def __init__(self, root: str | pathlib.Path) -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.finalized = False
 
     def append_result(
         self, results: "VantagePointResults"
@@ -254,7 +253,6 @@ class StreamingArchiveWriter:
         """Write the study manifest, completing the archive."""
         path = self.root / _MANIFEST
         path.write_text(json.dumps(manifest, indent=2))
-        self.finalized = True
         return path
 
 

@@ -1,42 +1,44 @@
 """Incremental study checkpoints.
 
-A killed study should resume without re-running finished work.  The
-executor records every completed unit here as soon as it finishes:
+A killed study should resume without re-running finished work.  A
+checkpoint is just an archive that isn't finished yet — a streaming archive
+writer plus a plan pin and a journal — and the executor records every
+completed unit in it as soon as the unit finishes:
 
-- the unit's per-vantage-point results are written through
-  :func:`repro.core.archive.write_unit_result`, i.e. in the *same* format
-  (``results/<provider slug>/<hostname slug>.json``) as a final study
-  archive — a checkpoint is just an archive that isn't finished yet;
+- the unit's per-vantage-point results are appended to the archive;
 - a journal line is then appended to ``units.jsonl``; the journal append is
   the commit point, so a crash between the result files and the journal
   simply re-runs that unit (results are deterministic, the rewrite is
   byte-identical).
 
-``plan.json`` pins the study parameters; resuming with a different seed,
+``plan.pin`` pins the study parameters; resuming with a different seed,
 vantage-point budget, or provider set raises
-:class:`CheckpointMismatchError` instead of silently mixing studies.
+:class:`CheckpointMismatchError` instead of silently mixing studies.  Pin
+and journal are not ``*.json``, so archive fingerprints and merges never
+see them: a finished checkpoint is byte for byte the study's archive.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import shutil
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator
 
-from repro.core.archive import read_vantage_point_results, write_unit_result
-from repro.runtime.units import AuditUnit, StudyPlan, _slug
+from repro.core import archive
+from repro.core.archive import ArchiveReadError, StreamingArchiveWriter
+from repro.runtime.units import AuditUnit, StudyPlan
 
 if TYPE_CHECKING:
     from repro.core.results import VantagePointResults
 
-_PLAN = "plan.json"
+_PIN = "plan.pin"
 _JOURNAL = "units.jsonl"
-_RESULTS = "results"
 
 
 class CheckpointMismatchError(RuntimeError):
-    """The checkpoint directory belongs to a different study."""
+    """The directory is not a checkpoint of this study."""
 
 
 @dataclass(frozen=True)
@@ -50,39 +52,52 @@ class CompletedUnit:
     connect_retries: int = 0
 
 
-class CheckpointStore:
-    """Persist and recover per-unit study progress in a directory."""
+class CheckpointStore(StreamingArchiveWriter):
+    """Persist and recover per-unit study progress in an archive directory."""
 
     def __init__(self, directory: str | pathlib.Path) -> None:
-        self.directory = pathlib.Path(directory)
-
-    @property
-    def results_root(self) -> pathlib.Path:
-        return self.directory / _RESULTS
+        # Unlike a bare writer, a store creates its directory when opened.
+        self.root = self.directory = pathlib.Path(directory)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def open(self, plan: StudyPlan) -> dict[str, CompletedUnit]:
-        """Bind the store to *plan*; returns the units already completed.
+        """Bind the store to *plan*; returns the units already journalled.
 
-        A fresh directory is initialised with the plan; an existing one is
+        A fresh directory is initialised with the plan pin; a pinned one is
         validated against it (same seed, budget and provider set) and its
-        journal replayed.
+        journal replayed.  ``*.json`` files without a pin (an archive, or
+        the old ``plan.json`` + ``results/`` layout) are refused.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.results_root.mkdir(parents=True, exist_ok=True)
-        plan_file = self.directory / _PLAN
-        if plan_file.exists():
-            existing = StudyPlan.from_json(plan_file.read_text())
+        pin = self.directory / _PIN
+        if pin.exists():
+            existing = StudyPlan.from_json(pin.read_text())
             if existing.fingerprint() != plan.fingerprint():
                 raise CheckpointMismatchError(
                     f"checkpoint at {self.directory} was created for "
                     f"[{existing.fingerprint()}], not [{plan.fingerprint()}]"
                 )
+        elif any(self.directory.rglob("*.json")):
+            raise CheckpointMismatchError(
+                f"{self.directory} holds *.json files but no {_PIN}, so it "
+                f"is no checkpoint of [{plan.fingerprint()}]"
+            )
         else:
-            plan_file.write_text(plan.to_json())
+            pin.write_text(plan.to_json())
         return self.completed_units()
+
+    def replay(
+        self, plan: StudyPlan
+    ) -> Iterator[tuple[CompletedUnit, list["VantagePointResults"]]]:
+        """Open for *plan*, then yield each journalled unit's results; a
+        unit whose files are missing or torn is not committed and re-runs."""
+        for entry in self.open(plan).values():
+            try:
+                yield entry, self.load_unit_results(entry)
+            except ArchiveReadError:
+                continue
 
     def completed_units(self) -> dict[str, CompletedUnit]:
         """Replay the journal; tolerates a truncated final line."""
@@ -120,7 +135,7 @@ class CheckpointStore:
     ) -> None:
         """Persist one finished unit (results first, then the journal)."""
         for vp_results in results:
-            write_unit_result(vp_results, self.results_root)
+            self.append_result(vp_results)
         entry = {
             "unit": unit.unit_id,
             "provider": unit.provider,
@@ -131,43 +146,38 @@ class CheckpointStore:
         with (self.directory / _JOURNAL).open("a") as journal:
             journal.write(json.dumps(entry) + "\n")
 
+    def load_unit_results(
+        self, entry: CompletedUnit | AuditUnit
+    ) -> list["VantagePointResults"]:
+        """A unit's results read back; a missing or torn file raises
+        :class:`~repro.core.archive.ArchiveReadError` naming it."""
+        directory = self.root / archive._slug(entry.provider)
+        results = []
+        for hostname in entry.hostnames:
+            path = directory / (archive._slug(hostname) + ".json")
+            try:
+                results.append(archive.read_vantage_point_results(path))
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ArchiveReadError(path, entry.unit_id, exc) from exc
+        return results
+
     # ------------------------------------------------------------------
     # Garbage collection
     # ------------------------------------------------------------------
     def prune(self) -> int:
-        """Delete the store's files; returns how many were removed.
+        """Delete the checkpoint scaffolding; returns how many files went.
 
-        Checkpoints are scaffolding: once the study they guard has been
-        assembled (or abandoned), the journal, plan pin and per-unit result
-        files are dead weight — a long-running daemon prunes them as jobs
-        reach a terminal state so its state directory stays bounded.  A
-        pruned directory is indistinguishable from one that never existed;
-        resuming into it simply starts a fresh checkpoint.
+        A finished archive (one with a manifest) loses only its pin and
+        journal.  An unfinished one — a cancelled or abandoned study — is
+        removed whole.  A directory with neither a pin nor a journal is no
+        checkpoint: nothing is deleted and 0 is returned.
         """
-        if not self.directory.exists():
-            return 0
-        removed = 0
-        for path in sorted(
-            self.directory.rglob("*"), key=lambda p: len(p.parts),
-            reverse=True,
-        ):
-            if path.is_dir():
-                path.rmdir()
-            else:
+        pin, journal = self.directory / _PIN, self.directory / _JOURNAL
+        removed = [path for path in (pin, journal) if path.exists()]
+        if removed and not (self.directory / archive._MANIFEST).exists():
+            removed = [p for p in self.directory.rglob("*") if p.is_file()]
+            shutil.rmtree(self.directory)
+        else:
+            for path in removed:
                 path.unlink()
-                removed += 1
-        self.directory.rmdir()
-        return removed
-
-    def load_unit_results(
-        self, entry: CompletedUnit
-    ) -> Optional[list["VantagePointResults"]]:
-        """Rehydrate a journalled unit's results, or None if files are gone."""
-        results = []
-        provider_dir = self.results_root / _slug(entry.provider)
-        for hostname in entry.hostnames:
-            path = provider_dir / (_slug(hostname) + ".json")
-            if not path.exists():
-                return None
-            results.append(read_vantage_point_results(path))
-        return results
+        return len(removed)

@@ -2,14 +2,15 @@
 
 :class:`StudyExecutor` owns study orchestration: it decomposes the study
 into :class:`~repro.runtime.units.AuditUnit` records, dispatches them onto
-a worker pool, retries failures under a :class:`RetryPolicy`, persists
-every completed unit through a :class:`CheckpointStore`, publishes progress
-events, and finally assembles the per-unit results — in plan order, never
-completion order — into a :class:`~repro.core.harness.StudyReport` that is
-the same at any worker count.  One loop serves both entry points; they differ
-only in the result sink: ``run()`` keeps unit results in memory and returns
-the report, ``run_streamed()`` appends them to an archive and returns a
-:class:`StreamedStudy`.
+a worker pool, retries failures under a :class:`RetryPolicy`, publishes
+progress events, and finally assembles the per-unit results — in plan
+order, never completion order — into a study report that is the same at
+any worker count.  One loop serves both entry points; they differ only in
+the result sink, which makes committed units durable in a
+:class:`CheckpointStore`: ``run()`` keeps them in memory (and in
+``checkpoint_dir``, if set) and returns the
+:class:`~repro.core.harness.StudyReport`, ``run_streamed()`` records them
+in its archive and returns a :class:`StreamedStudy`.
 
 Determinism is the design constraint everything else bends around:
 
@@ -48,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.harness import TestSuite
 from repro.runtime import events as ev
-from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.checkpoint import CheckpointStore, CompletedUnit
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.units import AuditUnit, StudyPlan
 from repro.source import StudySource
@@ -322,22 +323,42 @@ class StreamedStudy:
 
 
 # ----------------------------------------------------------------------
-# Result sinks: where the study loop stores committed units and puts
-# assembled providers.  The two differ only in storage.
+# Result sinks: where the study loop replays the journal, stores committed
+# units and puts assembled providers.  The two differ only in storage.
 # ----------------------------------------------------------------------
 class _MemorySink:
-    """Unit results kept as objects; assembles a :class:`StudyReport`."""
+    """Unit results kept as objects; assembles a :class:`StudyReport`.
 
-    def __init__(self) -> None:
+    With a checkpoint directory, every committed unit is also recorded
+    there and the finished study leaves its archive there.
+    """
+
+    def __init__(self, checkpoint_dir: Optional[str]) -> None:
         from repro.core.harness import StudyReport
 
+        self._store = (
+            CheckpointStore(checkpoint_dir) if checkpoint_dir else None
+        )
         self._results: dict[str, list["VantagePointResults"]] = {}
         self._study = StudyReport()
 
+    def open(self, plan: StudyPlan) -> dict[str, CompletedUnit]:
+        """Replay the checkpoint; returns the units already committed."""
+        if self._store is None:
+            return {}
+        journal = {}
+        for entry, results in self._store.replay(plan):
+            journal[entry.unit_id] = entry
+            self._results[entry.unit_id] = results
+        return journal
+
     def put(
-        self, unit: AuditUnit, results: list["VantagePointResults"]
+        self, unit: AuditUnit, results: list["VantagePointResults"],
+        wall_ms: float, connect_retries: int,
     ) -> None:
         self._results[unit.unit_id] = results
+        if self._store is not None:
+            self._store.record(unit, results, wall_ms, connect_retries)
 
     def get(self, unit: AuditUnit) -> Optional[list["VantagePointResults"]]:
         return self._results.get(unit.unit_id)
@@ -351,71 +372,69 @@ class _MemorySink:
     ) -> None:
         self._study.providers[name] = report
         shard_suite.ingest_provider_aggregates(self._study, name, report)
+        if self._store is not None:
+            self._store.write_verdicts(report)
 
     def finish(self) -> "StudyReport":
+        if self._store is not None:
+            from repro.core.archive import study_manifest
+
+            self._store.finalize(study_manifest(self._study))
         return self._study
 
 
 class _ArchiveSink:
-    """Unit results appended to an archive, read back per provider.
+    """Unit results recorded in an archive, read back per provider.
 
-    Memory holds committed unit ids, verdict payloads and, per archive
-    root, the study-wide aggregates its manifest needs — never a unit's
-    results beyond the provider being assembled.
+    Each archive root is its own checkpoint.  Memory holds committed unit
+    ids, verdict payloads and, per archive root, the study-wide aggregates
+    its manifest needs — never a unit's results beyond the provider being
+    assembled.
     """
 
     def __init__(
         self, archive_dir: str | pathlib.Path, shards: int, per_shard: bool
     ) -> None:
-        from repro.core.archive import StreamingArchiveWriter
         from repro.core.harness import StudyReport
 
         self.archive_dir = pathlib.Path(archive_dir)
         self.per_shard = per_shard
         if per_shard:
-            self._writers = {
-                shard: StreamingArchiveWriter(
-                    self.archive_dir / f"shard-{shard:04d}"
-                )
+            self._stores = {
+                shard: CheckpointStore(self.archive_dir / f"shard-{shard:04d}")
                 for shard in range(shards)
             }
         else:
-            writer = StreamingArchiveWriter(self.archive_dir)
-            self._writers = dict.fromkeys(range(shards), writer)
-        # archive root -> (writer, manifest aggregates, verdict payloads)
+            store = CheckpointStore(self.archive_dir)
+            self._stores = dict.fromkeys(range(shards), store)
+        # archive root -> (store, manifest aggregates, verdict payloads)
         self._roots = {
-            writer.root: (writer, StudyReport(), [])
-            for writer in self._writers.values()
+            store.root: (store, StudyReport(), [])
+            for store in self._stores.values()
         }
-        self._committed: set[str] = set()
+        self._committed: dict[str, CheckpointStore] = {}
         self._verdicts: dict[str, dict] = {}
 
+    def open(self, plan: StudyPlan) -> dict[str, CompletedUnit]:
+        """Replay every store; returns the units already committed."""
+        journal = {}
+        for store, _, _ in self._roots.values():
+            for entry, _results in store.replay(plan):
+                journal[entry.unit_id] = entry
+                self._committed[entry.unit_id] = store
+        return journal
+
     def put(
-        self, unit: AuditUnit, results: list["VantagePointResults"]
+        self, unit: AuditUnit, results: list["VantagePointResults"],
+        wall_ms: float, connect_retries: int,
     ) -> None:
-        writer = self._writers[unit.shard]
-        for vp_results in results:
-            writer.append_result(vp_results)
-        self._committed.add(unit.unit_id)
+        store = self._stores[unit.shard]
+        store.record(unit, results, wall_ms, connect_retries)
+        self._committed[unit.unit_id] = store
 
     def get(self, unit: AuditUnit) -> Optional[list["VantagePointResults"]]:
-        from repro.core.archive import (
-            ArchiveReadError,
-            _slug,
-            read_vantage_point_results,
-        )
-
-        if unit.unit_id not in self._committed:
-            return None
-        directory = self._writers[unit.shard].root / _slug(unit.provider)
-        results = []
-        for hostname in unit.hostnames:
-            path = directory / (_slug(hostname) + ".json")
-            try:
-                results.append(read_vantage_point_results(path))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                raise ArchiveReadError(path, unit.unit_id, exc) from exc
-        return results
+        store = self._committed.get(unit.unit_id)
+        return store.load_unit_results(unit) if store is not None else None
 
     def add(
         self,
@@ -424,9 +443,9 @@ class _ArchiveSink:
         name: str,
         report: "ProviderReport",
     ) -> None:
-        writer, study, verdicts = self._roots[self._writers[shard].root]
+        store, study, verdicts = self._roots[self._stores[shard].root]
         shard_suite.ingest_provider_aggregates(study, name, report)
-        payload = writer.write_verdicts(report)
+        payload = store.write_verdicts(report)
         verdicts.append(payload)
         self._verdicts[name] = payload
 
@@ -437,9 +456,9 @@ class _ArchiveSink:
         )
 
         manifests = []
-        for writer, study, verdicts in self._roots.values():
+        for store, study, verdicts in self._roots.values():
             manifest = manifest_from_verdicts(verdicts, study)
-            writer.finalize(manifest)
+            store.finalize(manifest)
             manifests.append(manifest)
         return StreamedStudy(
             archive_dir=self.archive_dir,
@@ -460,9 +479,10 @@ class StudyExecutor:
     """Run a study as a unit graph on a worker pool.
 
     ``workers=1`` executes inline, in plan order, on the coordinator's own
-    world: the sequential path.  ``checkpoint_dir`` makes progress
-    durable: re-running with the same directory (and parameters) skips
-    every unit whose results are already journalled there.
+    world: the sequential path.  ``checkpoint_dir`` makes :meth:`run`'s
+    progress durable: re-running with the same directory (and parameters)
+    skips every unit whose results are already journalled there.  A
+    streamed run's archive is its own checkpoint.
     """
 
     def __init__(
@@ -715,13 +735,14 @@ class StudyExecutor:
     def run(self, limit_units: Optional[int] = None) -> "StudyReport":
         """Execute the study; returns the assembled report.
 
-        Unit results stay in memory as objects until assembly.
-        ``limit_units`` stops after that many units have been *executed*
-        (checkpointed units don't count) and assembles a partial report —
-        the hook the resume tests and benchmarks use to simulate a study
-        killed mid-run without actually killing a process.
+        Unit results stay in memory as objects until assembly (and the
+        ``checkpoint_dir`` ends as the study's archive).  ``limit_units``
+        stops after that many units have been *executed* (checkpointed
+        units don't count) and assembles a partial report — the hook the
+        resume tests and benchmarks use to simulate a study killed mid-run
+        without actually killing a process.
         """
-        return self._execute(_MemorySink(), limit_units)
+        return self._execute(_MemorySink(self.checkpoint_dir), limit_units)
 
     def run_streamed(
         self,
@@ -732,13 +753,13 @@ class StudyExecutor:
         """Execute the study, writing the archive as units complete.
 
         Unlike :meth:`run`, unit results never accumulate in memory: each
-        completed unit's files are appended to the archive immediately
-        (via :class:`~repro.core.archive.StreamingArchiveWriter`) and the
-        per-provider reports are assembled one at a time from those files,
-        then dropped once their verdicts are written.  Peak memory is
-        O(one provider), flat in study size.  A committed unit whose files
-        cannot be read back raises
-        :class:`~repro.core.archive.ArchiveReadError`.
+        completed unit's files are appended to the archive and journalled
+        there immediately, and the per-provider reports are assembled one
+        at a time from those files, then dropped once their verdicts are
+        written.  Peak memory is O(one provider), flat in study size.  The
+        archive is the run's checkpoint (``checkpoint_dir`` is not used):
+        re-running into it resumes.  A committed unit whose files cannot
+        be read back raises :class:`~repro.core.archive.ArchiveReadError`.
 
         ``per_shard=True`` writes one self-contained archive per shard
         (``<archive_dir>/shard-NNNN/``), each with its own manifest;
@@ -765,26 +786,9 @@ class StudyExecutor:
             plan = self._plan(suite)
             self.plan = plan
 
-            checkpoint = (
-                CheckpointStore(self.checkpoint_dir)
-                if self.checkpoint_dir
-                else None
-            )
-            journal = checkpoint.open(plan) if checkpoint else {}
-            skipped: list[AuditUnit] = []
-            pending: list[AuditUnit] = []
-            for unit in plan.units:
-                entry = journal.get(unit.unit_id)
-                loaded = (
-                    checkpoint.load_unit_results(entry)
-                    if entry is not None
-                    else None
-                )
-                if loaded is not None:
-                    sink.put(unit, loaded)
-                    skipped.append(unit)
-                else:
-                    pending.append(unit)
+            journal = sink.open(plan)
+            skipped = [u for u in plan.units if u.unit_id in journal]
+            pending = [u for u in plan.units if u.unit_id not in journal]
             if limit_units is not None:
                 pending = pending[:limit_units]
 
@@ -807,9 +811,9 @@ class StudyExecutor:
 
             if pending:
                 if self.workers == 1 and self.pool is None:
-                    self._run_inline(suite, plan, pending, sink, checkpoint)
+                    self._run_inline(suite, plan, pending, sink)
                 else:
-                    self._run_pooled(plan, pending, sink, checkpoint)
+                    self._run_pooled(plan, pending, sink)
 
             obs = suite.obs
             profile = obs.profile if obs is not None else None
@@ -877,7 +881,6 @@ class StudyExecutor:
         plan: StudyPlan,
         pending: list[AuditUnit],
         sink: "_ResultSink",
-        checkpoint: Optional[CheckpointStore],
     ) -> None:
         index_of = {u.unit_id: i + 1 for i, u in enumerate(plan.units)}
         for position, unit in enumerate(pending):
@@ -905,11 +908,7 @@ class StudyExecutor:
             if outcome is None:
                 continue
             self._commit(
-                unit,
-                outcome,
-                sink,
-                checkpoint,
-                queue_depth=len(pending) - position - 1,
+                unit, outcome, sink, queue_depth=len(pending) - position - 1
             )
         self._live["queue_depth"] = 0
         self._live["in_flight"] = 0
@@ -937,7 +936,6 @@ class StudyExecutor:
         plan: StudyPlan,
         pending: list[AuditUnit],
         sink: "_ResultSink",
-        checkpoint: Optional[CheckpointStore],
     ) -> None:
         if self.backend == "process":
             pool: concurrent.futures.Executor = (
@@ -1057,11 +1055,7 @@ class StudyExecutor:
                             )
                         continue
                     self._commit(
-                        unit,
-                        outcome,
-                        sink,
-                        checkpoint,
-                        queue_depth=len(active),
+                        unit, outcome, sink, queue_depth=len(active)
                     )
         finally:
             self._live["queue_depth"] = 0
@@ -1154,15 +1148,10 @@ class StudyExecutor:
         unit: AuditUnit,
         outcome: UnitOutcome,
         sink: "_ResultSink",
-        checkpoint: Optional[CheckpointStore],
         queue_depth: int,
     ) -> None:
         results, connect_retries, wall_ms, obs_payload, resources = outcome
-        # Into the sink before the checkpoint commit, so a journalled unit
-        # always has its bytes on disk.
-        sink.put(unit, results)
-        if checkpoint is not None:
-            checkpoint.record(unit, results, wall_ms, connect_retries)
+        sink.put(unit, results, wall_ms, connect_retries)
         if obs_payload is not None:
             self._obs_payloads[unit.unit_id] = obs_payload
             snapshot = obs_payload.get("metrics")

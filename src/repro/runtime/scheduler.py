@@ -210,13 +210,14 @@ class LongitudinalScheduler:
     Every snapshot runs *config* (its source, shards, workers, backend and
     obs) through :meth:`StudyExecutor.from_config`, changing only the
     seed, the vantage budget, the obs output paths and the checkpoint
-    directory.  ``config.archive_dir`` archives each snapshot under
-    ``<root>/snapshot-NN`` in the standard study-archive format, and
-    ``config.checkpoint_dir`` gives each snapshot a durable checkpoint
-    under ``<root>/snapshot-NN``, so an interrupted series resumes
-    mid-snapshot.  ``config.reseed=True`` rebuilds each snapshot's world
-    from a derived seed (an ecosystem that may drift); ``False`` models
-    pure re-measurement of a static ecosystem, where any non-empty diff is
+    directory.  Each snapshot checkpoints in ``<root>/snapshot-NN``, the
+    root being ``config.checkpoint_dir`` or else ``config.archive_dir``, so
+    an interrupted series resumes mid-snapshot and a finished snapshot's
+    checkpoint is its study archive.  Only when ``config.archive_dir``
+    names a different root is the snapshot archived there a second time.
+    ``config.reseed=True`` rebuilds each snapshot's world from a derived
+    seed (an ecosystem that may drift); ``False`` models pure
+    re-measurement of a static ecosystem, where any non-empty diff is
     itself a reproducibility failure.
 
     ``vantage_budgets`` (one entry per snapshot, ``None`` entries falling
@@ -279,11 +280,7 @@ class LongitudinalScheduler:
         from repro.core.archive import write_study_archive
 
         config = self.config
-        archive_root = (
-            pathlib.Path(config.archive_dir)
-            if config.archive_dir is not None
-            else None
-        )
+        checkpoint_root = config.checkpoint_dir or config.archive_dir
         report = LongitudinalReport()
         previous: Optional[dict[str, dict[str, object]]] = None
         for spec in self.schedule():
@@ -304,9 +301,10 @@ class LongitudinalScheduler:
                     seed=spec.seed,
                     max_vantage_points=spec.max_vantage_points,
                     obs=obs,
+                    stream=False,  # a snapshot is assembled in memory
                     checkpoint_dir=(
-                        str(pathlib.Path(config.checkpoint_dir) / spec.label)
-                        if config.checkpoint_dir is not None
+                        str(pathlib.Path(checkpoint_root) / spec.label)
+                        if checkpoint_root is not None
                         else None
                     ),
                 ),
@@ -319,16 +317,16 @@ class LongitudinalScheduler:
                 study = executor.run()
             except StudyInterrupted:
                 # The snapshot's completed units are checkpointed (when
-                # config.checkpoint_dir is set); the series stops cleanly
-                # here and a re-run resumes this snapshot mid-flight.
+                # it has a checkpoint root); the series stops cleanly here
+                # and a re-run resumes this snapshot mid-flight.
                 report.interrupted = True
                 break
             verdicts = verdict_map(study)
             archive_dir = None
-            if archive_root is not None:
-                archive_dir = write_study_archive(
-                    study, archive_root / spec.label
-                )
+            if config.archive_dir is not None:
+                archive_dir = pathlib.Path(config.archive_dir) / spec.label
+                if checkpoint_root != config.archive_dir:
+                    write_study_archive(study, archive_dir)
             # The snapshot's worlds are reference cycles, and units of
             # other jobs on a shared pool may hold the collector paused.
             del executor, study

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.codec import from_jsonable, to_jsonable
+from repro.core.archive import _slug
 from repro.runtime.retry import stable_hash
 
 if TYPE_CHECKING:
@@ -40,12 +41,6 @@ class UnitKind(enum.Enum):
 def derive_unit_seed(study_seed: int, provider: str, hostname: str) -> int:
     """Deterministic per-unit seed; identical at any worker count."""
     return stable_hash("unit-seed", study_seed, provider, hostname)
-
-
-def _slug(name: str) -> str:
-    return "".join(
-        ch if ch.isalnum() or ch in "-_" else "_" for ch in name.lower()
-    )
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,7 @@ class StudyPlan:
     #: Extra compatibility marker for non-catalogue studies (a generated
     #: source's parameters); None for catalogue/explicit studies so their
     #: fingerprints — and existing checkpoints — stay unchanged.  Declared
-    #: before ``units`` because field order is ``plan.json``'s key order.
+    #: before ``units`` because field order is the plan pin's key order.
     source_key: str | None = None
     units: list[AuditUnit] = field(default_factory=list)
 
@@ -110,8 +105,8 @@ class StudyPlan:
         return [u.unit_id for u in self.units]
 
     # ------------------------------------------------------------------
-    # Serialisation (the checkpoint directory records the plan so a resume
-    # can refuse to mix incompatible studies).
+    # Serialisation (a checkpoint pins the plan so a resume can refuse to
+    # mix incompatible studies).
     # ------------------------------------------------------------------
     def to_json(self) -> str:
         return json.dumps(to_jsonable(self), indent=2)

@@ -13,8 +13,9 @@ because unit results are independent of scheduling order by construction.
 
 Each job also gets:
 
-- a **checkpoint** under its store directory, so a daemon killed mid-job
-  resumes the job from its last committed unit on restart;
+- a **checkpoint**, which is the job's archive directory in the store, so
+  a daemon killed mid-job resumes the job from its last committed unit on
+  restart, and each result is written once;
 - a **stop event**, the one mechanism behind both job cancellation and
   graceful daemon drain — setting it makes the executor finish in-flight
   units, flush the checkpoint, and raise
@@ -284,7 +285,7 @@ class JobScheduler:
             bus=bus,
             workers=self.config.workers,
             backend="thread",
-            checkpoint_dir=str(self.store.checkpoint_dir(record.job_id)),
+            checkpoint_dir=str(self.store.archive_dir(record.job_id)),
             stop_event=stop_event,
             pool=self.pool,
             # Resource telemetry rides the job bus (and thus the event
@@ -319,14 +320,13 @@ class JobScheduler:
         from repro.runtime.scheduler import LongitudinalScheduler
 
         config = record.request.config
+        archive = str(self.store.archive_dir(record.job_id))
         report = LongitudinalScheduler(
             config.replace(
                 workers=self.config.workers,
                 backend="thread",
-                archive_dir=str(self.store.archive_dir(record.job_id)),
-                checkpoint_dir=str(
-                    self.store.checkpoint_dir(record.job_id)
-                ),
+                archive_dir=archive,
+                checkpoint_dir=archive,
             ),
             bus=bus,
             stop_event=stop_event,

@@ -9,8 +9,8 @@ memory:
       sequence.json                   # monotonic job-ID counter
       jobs/<job_id>/
         job.json                      # JobRecord (state machine, durable)
-        checkpoint/                   # CheckpointStore (crash-resume)
-        archive/                      # the byte-exact study archive
+        archive/                      # the byte-exact study archive, which
+                                      # is the job's CheckpointStore
         report.json                   # to_jsonable(StudyReport)
         evidence.json                 # explain_document() per provider
         metrics.json                  # merged MetricsRegistry snapshot
@@ -20,8 +20,9 @@ memory:
 ``job.json`` is rewritten on every state transition (the queue's
 ``on_change`` hook), so a killed daemon recovers its whole queue by
 scanning ``jobs/*/job.json`` — jobs that were running resume from their
-checkpoints, results of finished jobs stay fetchable forever (or until
-pruned).
+archives (each unit is written once, into ``archive/``, or a snapshots
+job's ``archive/snapshot-NN/``), results of finished jobs stay fetchable
+forever (or until pruned).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ if TYPE_CHECKING:
 _SEQUENCE = "sequence.json"
 _JOBS = "jobs"
 _JOB = "job.json"
-_CHECKPOINT = "checkpoint"
 _ARCHIVE = "archive"
 _EVENTS = "events.jsonl"
 
@@ -96,9 +96,6 @@ class ResultStore:
     def job_dir(self, job_id: str) -> pathlib.Path:
         return self.jobs_root / job_id
 
-    def checkpoint_dir(self, job_id: str) -> pathlib.Path:
-        return self.job_dir(job_id) / _CHECKPOINT
-
     def archive_dir(self, job_id: str) -> pathlib.Path:
         return self.job_dir(job_id) / _ARCHIVE
 
@@ -131,12 +128,11 @@ class ResultStore:
         metrics_snapshot: Optional[dict] = None,
     ) -> str:
         """Index a finished study/recheck; returns the archive fingerprint."""
-        from repro.core.archive import archive_fingerprint, write_study_archive
+        from repro.core.archive import archive_fingerprint
         from repro.obs.evidence import explain_document
 
         directory = self.job_dir(record.job_id)
-        directory.mkdir(parents=True, exist_ok=True)
-        archive_root = write_study_archive(report, self.archive_dir(record.job_id))
+        archive_root = self.archive_dir(record.job_id)
         fingerprint = archive_fingerprint(archive_root)
 
         self._write_json(
@@ -243,9 +239,9 @@ class ResultStore:
     ) -> dict[str, int]:
         """Prune checkpoints of every terminal job; {job_id: files removed}.
 
-        Results, archives and the job record are kept — only the
-        crash-resume scaffolding goes.  Jobs still queued or running are
-        never touched.
+        Results, finished archives (a snapshots job's ``snapshot-NN`` too)
+        and the job record are kept — only the crash-resume scaffolding
+        goes.  Jobs still queued or running are never touched.
         """
         from repro.runtime.checkpoint import CheckpointStore
 
@@ -255,9 +251,10 @@ class ResultStore:
         for record in records:
             if record.state not in TERMINAL_STATES:
                 continue
-            checkpoint = self.checkpoint_dir(record.job_id)
-            if checkpoint.exists():
-                pruned[record.job_id] = CheckpointStore(checkpoint).prune()
+            archive = self.archive_dir(record.job_id)
+            stores = [archive, *sorted(archive.glob("snapshot-*"))]
+            if removed := sum(CheckpointStore(d).prune() for d in stores):
+                pruned[record.job_id] = removed
         return pruned
 
     # ------------------------------------------------------------------

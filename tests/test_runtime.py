@@ -15,7 +15,11 @@ import threading
 import pytest
 
 from repro.config import StudyConfig
-from repro.core.archive import archive_fingerprint, write_study_archive
+from repro.core.archive import (
+    ArchiveReadError,
+    archive_fingerprint,
+    write_study_archive,
+)
 from repro.core.harness import TestSuite
 from repro.runtime import events as ev
 from repro.runtime.checkpoint import CheckpointMismatchError, CheckpointStore
@@ -218,11 +222,26 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path / "ck")
         plan = self._plan()
         assert store.open(plan) == {}
-        assert (tmp_path / "ck" / "plan.json").exists()
+        assert (tmp_path / "ck" / "plan.pin").exists()
         other = self._plan()
         other.seed = 2
         with pytest.raises(CheckpointMismatchError):
             CheckpointStore(tmp_path / "ck").open(other)
+
+    def test_open_refuses_json_without_a_pin(self, tmp_path, small_study):
+        """An archive, or a checkpoint of the old ``plan.json`` +
+        ``results/`` layout, is no checkpoint of any study."""
+        archive = write_study_archive(small_study, tmp_path / "archive")
+        old_layout = tmp_path / "old"
+        (old_layout / "results" / "p").mkdir(parents=True)
+        (old_layout / "plan.json").write_text(self._plan().to_json())
+        (old_layout / "results" / "p" / "h.json").write_text("{}")
+        for directory in (archive, old_layout):
+            before = archive_fingerprint(directory)
+            with pytest.raises(CheckpointMismatchError, match="plan.pin"):
+                CheckpointStore(directory).open(self._plan())
+            assert not (directory / "plan.pin").exists()
+            assert archive_fingerprint(directory) == before
 
     def test_record_and_reload_round_trip(self, tmp_path, small_study):
         results = small_study.providers["Seed4.me"].full_results[:1]
@@ -263,7 +282,8 @@ class TestCheckpointStore:
             json.dumps(entry_dict) + "\n"
         )
         entry = store.completed_units()[unit.unit_id]
-        assert store.load_unit_results(entry) is None
+        with pytest.raises(ArchiveReadError):
+            store.load_unit_results(entry)
 
 
 class TestStudyExecutor:
@@ -312,6 +332,29 @@ class TestStudyExecutor:
         total = len(second.plan.units)
         assert len(started) == total - 2
         assert fingerprint(resumed, tmp_path / "res") == SMALL_FINGERPRINT
+
+    def test_resume_reruns_a_torn_checkpoint_file(self, tmp_path):
+        """A journalled unit whose result file is torn is not committed:
+        the resume re-runs it, and the checkpoint ends as the archive."""
+        checkpoint = tmp_path / "ck"
+        first = StudyExecutor(
+            seed=2018, providers=SMALL, max_vantage_points=2,
+            workers=1, checkpoint_dir=str(checkpoint),
+        )
+        first.run(limit_units=3)
+        assert first.plan.units[1].hostnames == ("au09.mullvad.net",)
+        victim = checkpoint / "mullvad" / "au09_mullvad_net.json"
+        victim.write_bytes(victim.read_bytes()[:40])
+
+        second = StudyExecutor(
+            seed=2018, providers=SMALL, max_vantage_points=2,
+            workers=1, checkpoint_dir=str(checkpoint),
+        )
+        resumed = second.run()
+        assert second.stats.skipped_units == 2
+        assert second.stats.completed_units == len(second.plan.units) - 2
+        assert fingerprint(resumed, tmp_path / "res") == SMALL_FINGERPRINT
+        assert archive_fingerprint(checkpoint) == SMALL_FINGERPRINT
 
     def test_resume_rejects_different_parameters(self, tmp_path):
         checkpoint = tmp_path / "ck"

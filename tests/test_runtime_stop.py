@@ -202,6 +202,22 @@ class TestCheckpointPrune:
         assert removed >= 4
         assert not (tmp_path / "ckpt").exists()
 
+    def test_prune_keeps_a_finished_archive(self, tmp_path):
+        """A finished checkpoint is the study's archive: prune removes
+        only its plan pin and journal, and the fingerprint holds."""
+        from repro.core.archive import archive_fingerprint
+        from repro.runtime.checkpoint import CheckpointStore
+        from tests.test_determinism import GOLDEN_STUDY_FINGERPRINT
+
+        checkpoint = tmp_path / "ckpt"
+        _executor(checkpoint_dir=str(checkpoint)).run()
+        assert archive_fingerprint(checkpoint) == GOLDEN_STUDY_FINGERPRINT
+
+        assert CheckpointStore(checkpoint).prune() == 2
+        assert not (checkpoint / "plan.pin").exists()
+        assert not (checkpoint / "units.jsonl").exists()
+        assert archive_fingerprint(checkpoint) == GOLDEN_STUDY_FINGERPRINT
+
     def test_prune_missing_directory_is_zero(self, tmp_path):
         from repro.runtime.checkpoint import CheckpointStore
 
@@ -222,10 +238,22 @@ class TestCheckpointPrune:
         assert main(["checkpoint", "prune", str(tmp_path / "ckpt")]) == 0
         assert not (tmp_path / "ckpt").exists()
 
-    def test_prune_cli_missing_path_fails(self, tmp_path):
+    def test_prune_cli_missing_path_fails(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["checkpoint", "prune", str(tmp_path / "gone")]) == 2
+        # A directory with neither a plan pin nor a journal is no
+        # checkpoint: refused, and nothing in it is deleted.
+        foreign = tmp_path / "foreign"
+        (foreign / "sub").mkdir(parents=True)
+        (foreign / "notes.txt").write_text("notes")
+        (foreign / "sub" / "data.csv").write_text("a,b\n")
+        for path in (tmp_path / "gone", foreign):
+            assert main(["checkpoint", "prune", str(path)]) == 2
+            err = capsys.readouterr().err
+            (line,) = [line for line in err.splitlines() if line.strip()]
+            assert line.startswith("error: ")
+        assert (foreign / "notes.txt").read_text() == "notes"
+        assert (foreign / "sub" / "data.csv").read_text() == "a,b\n"
 
 
 class TestResumeMismatchCli:

@@ -35,7 +35,8 @@ def _sink_outcome(tmp_path, sink, resumed):
     ``write_study_archive``, ``streamed`` one ``run_streamed`` archive,
     ``per-shard`` per-shard archives at ``shards=2`` merged.  *resumed*
     first journals 4 of the 9 units under ``limit_units`` and reports the
-    run that resumes from that checkpoint.
+    run that resumes from that checkpoint: the memory sink's
+    ``checkpoint_dir``, or the archive sinks' own archive, re-run into.
     """
     from repro.core.archive import (
         archive_fingerprint,
@@ -56,7 +57,10 @@ def _sink_outcome(tmp_path, sink, resumed):
             providers=PROVIDERS,
             max_vantage_points=2,
             shards=2 if sink == "per-shard" else 1,
-            checkpoint_dir=str(tmp_path / "ckpt") if resumed else None,
+            checkpoint_dir=(
+                str(tmp_path / "ckpt") if resumed and sink == "memory"
+                else None
+            ),
             obs=ObsConfig(profile=True),
             bus=bus,
         )
@@ -350,12 +354,10 @@ class TestStreamingArchives:
 
         mono = _mono_fingerprint(tmp_path, providers=PROVIDERS)
         archive = tmp_path / "streamed"
-        checkpoint = tmp_path / "ckpt"
 
         partial = StudyExecutor(
             providers=PROVIDERS,
             max_vantage_points=2,
-            checkpoint_dir=str(checkpoint),
         ).run_streamed(archive, limit_units=2)
         assert partial.fingerprint() != mono  # study genuinely incomplete
 
@@ -367,14 +369,13 @@ class TestStreamingArchives:
         # Simulate a torn write: truncate the journal's final line, as if
         # the process died between the archive file and the checkpoint
         # commit.  The unit re-runs on resume and re-writes the same bytes.
-        journal = checkpoint / "units.jsonl"
+        journal = archive / "units.jsonl"
         text = journal.read_text()
         journal.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
 
         resumed = StudyExecutor(
             providers=PROVIDERS,
             max_vantage_points=2,
-            checkpoint_dir=str(checkpoint),
         ).run_streamed(archive)
         assert archive_fingerprint(archive) == mono
         assert resumed.fingerprint() == mono
@@ -580,6 +581,49 @@ class TestStreamedStudyCli:
         out = capsys.readouterr().out
         assert "phase wall-clock attribution" in out
         assert f"streamed archive at {archive}" in out
+
+    def test_archive_of_another_study_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        """A streamed archive is its study's checkpoint: another study
+        streamed into it, or a second checkpoint beside it, is refused."""
+        from repro.cli import main
+        from repro.core.archive import archive_fingerprint
+
+        archive = tmp_path / "archive"
+        assert main([*self.ARGS, "--archive", str(archive)]) == 0
+        before = archive_fingerprint(archive)
+        capsys.readouterr()
+        for args in (
+            ["study", "--providers", "MyIP.io", "--max-vps", "1",
+             "--stream", "--archive", str(archive)],
+            [*self.ARGS, "--archive", str(archive),
+             "--resume", str(tmp_path / "elsewhere")],
+        ):
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            (line,) = [line for line in err.splitlines() if line.strip()]
+            assert line.startswith("error: ")
+        assert archive_fingerprint(archive) == before
+        assert not (tmp_path / "elsewhere").exists()
+
+    def test_interrupt_says_to_rerun_into_the_archive(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.api
+        from repro.cli import main
+        from repro.runtime.executor import StudyInterrupted
+
+        def interrupted(*args, **kwargs):
+            raise StudyInterrupted(completed=1, remaining=2)
+
+        monkeypatch.setattr(repro.api, "run_full_study", interrupted)
+        archive = tmp_path / "archive"
+        assert main([*self.ARGS, "--archive", str(archive)]) == 128
+        err = capsys.readouterr().err
+        assert f"re-running with --archive {archive}" in err
+        assert "not saved" not in err
 
     def test_unreadable_unit_is_one_error_line(
         self, tmp_path, capsys, monkeypatch

@@ -337,7 +337,7 @@ class TestResultStore:
             ("job-00001-run", JobState.RUNNING),
             ("job-00002-don", JobState.COMPLETED),
         ]:
-            ckpt = store.checkpoint_dir(job_id)
+            ckpt = store.archive_dir(job_id)
             ckpt.mkdir(parents=True)
             (ckpt / "units.jsonl").write_text("{}\n")
             store.save_record(JobRecord(
@@ -345,8 +345,8 @@ class TestResultStore:
             ))
         pruned = store.prune_checkpoints()
         assert set(pruned) == {"job-00002-don"}
-        assert store.checkpoint_dir("job-00001-run").exists()
-        assert not store.checkpoint_dir("job-00002-don").exists()
+        assert store.archive_dir("job-00001-run").exists()
+        assert not store.archive_dir("job-00002-don").exists()
 
 
 # ----------------------------------------------------------------------
@@ -528,6 +528,54 @@ class TestDaemonHttp:
             assert err.value.status == 503
         finally:
             daemon._draining.clear()
+
+
+# ----------------------------------------------------------------------
+# The job's archive is its checkpoint
+# ----------------------------------------------------------------------
+class TestServedArchiveIsTheCheckpoint:
+    def test_served_study_writes_each_result_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A served study records every vantage point once, into its
+        archive; kept checkpoints are the archive's pin and journal."""
+        import repro.core.archive as archive_module
+        from repro.config import ServeConfig
+        from repro.serve.client import ServeClient
+        from repro.serve.daemon import AuditDaemon
+
+        written = []
+        write_results_file = archive_module._write_results_file
+
+        def counting(results, directory):
+            written.append(results.hostname)
+            return write_results_file(results, directory)
+
+        monkeypatch.setattr(archive_module, "_write_results_file", counting)
+        daemon = AuditDaemon(ServeConfig(
+            port=0, state_dir=str(tmp_path / "state"), workers=2,
+            keep_checkpoints=True,
+        ))
+        daemon.start()
+        try:
+            client = ServeClient(daemon.endpoint)
+            job_id = client.submit(_request(providers=["Seed4.me"])).job_id
+            final = client.wait(job_id, timeout_s=300)
+        finally:
+            daemon.shutdown()
+        assert final.record.state.value == "completed"
+
+        job_dir = tmp_path / "state" / "jobs" / job_id
+        archive = job_dir / "archive"
+        assert (archive / "plan.pin").exists()
+        assert (archive / "units.jsonl").exists()
+        assert not (job_dir / "checkpoint").exists()
+        results = [
+            path for path in archive.glob("*/*.json")
+            if path.name != "verdicts.json"
+        ]
+        assert results
+        assert len(written) == len(set(written)) == len(results)
 
 
 # ----------------------------------------------------------------------

@@ -129,9 +129,9 @@ def test_golden_plan_is_byte_equal_and_keeps_its_fingerprint(tmp_path):
     )
     # A checkpoint written before the codec still opens for the study.
     store = CheckpointStore(tmp_path)
-    (tmp_path / "plan.json").write_text(text)
+    (tmp_path / "plan.pin").write_text(text)
     assert store.open(plan) == {}
-    assert (tmp_path / "plan.json").read_text() == text
+    assert (tmp_path / "plan.pin").read_text() == text
 
 
 def test_golden_plan_matches_a_fresh_plan():
