@@ -7,73 +7,17 @@ an analysis report.  They are what the examples and the quickstart use;
 everything they do can also be done piecemeal through the subpackages.
 
 Configuration flows through a single frozen :class:`repro.config.StudyConfig`
-passed as ``config=``.  The historical keyword arguments still work but are
-a deprecated shim: each entry point warns once per process and folds them
-into a ``StudyConfig`` internally, so both spellings execute the exact same
-path.
+passed as ``config=``; ``config=None`` means ``StudyConfig()``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from repro.config import StudyConfig
     from repro.core.harness import StudyReport
     from repro.world import World
-
-#: Sentinel distinguishing "keyword not passed" from any real value
-#: (including ``None``, which is meaningful for e.g. ``providers``).
-_UNSET = object()
-
-#: Entry points that have already emitted their legacy-kwargs warning.
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _legacy_config(func_name: str, passed: dict) -> "StudyConfig":
-    """Fold legacy keyword arguments into a StudyConfig, warning once.
-
-    The warning renders the exact ``config=`` call that replaces the
-    legacy spelling, so migrating is a copy-paste.
-    """
-    from repro.config import StudyConfig
-
-    config = StudyConfig(**passed)
-    if func_name not in _DEPRECATION_WARNED:
-        _DEPRECATION_WARNED.add(func_name)
-        rendered = ", ".join(
-            f"{name}={passed[name]!r}" for name in sorted(passed)
-        )
-        warnings.warn(
-            f"passing keyword arguments to {func_name}() is deprecated; "
-            f"replace the call with "
-            f"{func_name}(config=repro.StudyConfig({rendered}))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return config
-
-
-def _resolve_config(
-    func_name: str,
-    config: Optional["StudyConfig"],
-    legacy: dict,
-) -> "StudyConfig":
-    from repro.config import StudyConfig
-
-    passed = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if config is not None:
-        if passed:
-            raise TypeError(
-                f"{func_name}() takes either config= or legacy keyword "
-                f"arguments, not both (got config and "
-                f"{', '.join(sorted(passed))})"
-            )
-        return config
-    if passed:
-        return _legacy_config(func_name, passed)
-    return StudyConfig()
 
 
 def build_study(
@@ -93,11 +37,7 @@ def build_study(
     return WorldFactory.clone(seed=seed, provider_names=providers)
 
 
-def audit_provider(
-    name: str,
-    seed=_UNSET,
-    config: Optional["StudyConfig"] = None,
-):
+def audit_provider(name: str, *, config: Optional["StudyConfig"] = None):
     """Run the full measurement suite against a single provider.
 
     A one-provider :func:`run_full_study` of *config* with its source
@@ -106,7 +46,10 @@ def audit_provider(
     ``obs_metrics`` (merged snapshot dict, ``None`` unless metrics are
     enabled).
     """
-    config = _resolve_config("audit_provider", config, {"seed": seed})
+    from repro.config import StudyConfig
+
+    if config is None:
+        config = StudyConfig()
     study = run_full_study(config.replace(providers=(name,), source=None))
     report = study.providers[name]
     report.obs_metrics = study.obs_metrics
@@ -120,14 +63,6 @@ def run_full_study(
     bus=None,
     ledger_path=None,
     sample_interval_s=None,
-    seed=_UNSET,
-    max_vantage_points=_UNSET,
-    providers=_UNSET,
-    workers=_UNSET,
-    backend=_UNSET,
-    checkpoint_dir=_UNSET,
-    progress=_UNSET,
-    obs=_UNSET,
 ):
     """Run the paper's full study: all 62 providers.
 
@@ -171,23 +106,12 @@ def run_full_study(
     """
     import sys
 
+    from repro.config import StudyConfig
     from repro.runtime.events import EventBus, TextProgressRenderer
     from repro.runtime.executor import StudyExecutor
 
-    config = _resolve_config(
-        "run_full_study",
-        config,
-        {
-            "seed": seed,
-            "max_vantage_points": max_vantage_points,
-            "providers": providers,
-            "workers": workers,
-            "backend": backend,
-            "checkpoint_dir": checkpoint_dir,
-            "progress": progress,
-            "obs": obs,
-        },
-    )
+    if config is None:
+        config = StudyConfig()
     if bus is None:
         bus = EventBus()
     if config.progress:
@@ -244,15 +168,6 @@ def run_longitudinal_study(
     config: Optional["StudyConfig"] = None,
     *,
     stop_event=None,
-    seed=_UNSET,
-    snapshots=_UNSET,
-    max_vantage_points=_UNSET,
-    providers=_UNSET,
-    workers=_UNSET,
-    backend=_UNSET,
-    archive_root=_UNSET,
-    reseed=_UNSET,
-    obs=_UNSET,
 ):
     """Re-run the study as *snapshots* measurements and diff the verdicts.
 
@@ -265,20 +180,9 @@ def run_longitudinal_study(
     list what changed between consecutive snapshots (empty when the
     ecosystem — here, the simulation — is stable).
     """
+    from repro.config import StudyConfig
     from repro.runtime.scheduler import LongitudinalScheduler
 
-    legacy = {
-        "seed": seed,
-        "snapshots": snapshots,
-        "max_vantage_points": max_vantage_points,
-        "providers": providers,
-        "workers": workers,
-        "backend": backend,
-        "reseed": reseed,
-        "obs": obs,
-        # Historical name: this keyword is archive_root, the config
-        # calls it archive_dir.
-        "archive_dir": archive_root,
-    }
-    config = _resolve_config("run_longitudinal_study", config, legacy)
+    if config is None:
+        config = StudyConfig()
     return LongitudinalScheduler(config, stop_event=stop_event).run()

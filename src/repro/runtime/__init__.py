@@ -1,9 +1,9 @@
 """repro.runtime — parallel, checkpointable study execution.
 
 The runtime decomposes a study into independent work units
-(:mod:`~repro.runtime.units`), executes them on a worker pool with retry
-and timeout handling (:mod:`~repro.runtime.executor`,
-:mod:`~repro.runtime.retry`), checkpoints completed units so a killed study
+(:mod:`~repro.runtime.units`), executes them on a worker pool with retries
+(:mod:`~repro.runtime.executor`, :mod:`~repro.runtime.retry`),
+checkpoints completed units so a killed study
 resumes (:mod:`~repro.runtime.checkpoint`), publishes progress events
 (:mod:`~repro.runtime.events`), and can drive N-snapshot longitudinal
 schedules (:mod:`~repro.runtime.scheduler`).

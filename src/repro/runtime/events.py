@@ -1,15 +1,16 @@
 """Progress and telemetry events for study execution.
 
 The executor publishes typed events onto an :class:`EventBus` as units move
-through their lifecycle — queued, started, finished, retried, failed,
-skipped (checkpoint hits) — with per-unit wall time and the remaining queue
-depth.  Subscribers are plain callables; two are provided:
+through their lifecycle — started (dispatched to the pool), finished,
+retried, failed, skipped (checkpoint hits) — with per-unit wall time and
+the remaining queue depth.  Subscribers are plain callables; two are
+provided:
 
 - :class:`TextProgressRenderer` — one line per event to a stream, the CLI's
   ``--progress`` view;
 - :class:`StatsCollector` — aggregates counts and wall times into an
-  :class:`ExecutionStats` the executor exposes after the run (and the
-  runtime benchmark reads for its scaling numbers).
+  :class:`ExecutionStats` the executor exposes after the run (and perfbench
+  reads for its unit counts).
 
 Handler exceptions are swallowed (a broken renderer must not kill a
 two-hour study); the bus keeps the first error for inspection.
@@ -39,6 +40,8 @@ class StudyStarted:
 
 @dataclass(frozen=True)
 class UnitStarted:
+    """Unit dispatched: submitted to the pool as a window slot freed."""
+
     unit_id: str
     provider: str
     kind: str
@@ -77,12 +80,6 @@ class UnitSkipped:
 
     unit_id: str
     wall_ms: float      # the original run's cost, from the journal
-
-
-@dataclass(frozen=True)
-class UnitTimedOut:
-    unit_id: str
-    timeout_s: float
 
 
 @dataclass(frozen=True)
@@ -139,8 +136,8 @@ class ResourceSample:
 
     elapsed_s: float
     rss_kb: int
-    queue_depth: int = 0        # submitted units no worker has picked up
-    in_flight: int = 0          # units currently executing
+    queue_depth: int = 0        # pending units not yet dispatched
+    in_flight: int = 0          # dispatched units not yet committed
     shards_resident: int = 0    # shard worlds live in this process
     suite_hits: int = 0         # world-suite LRU hits (cumulative)
     suite_misses: int = 0       # world-suite LRU misses (cumulative)
@@ -181,7 +178,6 @@ _EVENT_TYPES = {
         UnitRetried,
         UnitFailed,
         UnitSkipped,
-        UnitTimedOut,
         StudyFinished,
         StudyHalted,
         UnitMetrics,
@@ -282,7 +278,6 @@ class ExecutionStats:
     skipped_units: int = 0
     failed_units: int = 0
     retried_units: int = 0
-    timed_out_units: int = 0
     connect_retries: int = 0
     wall_s: float = 0.0
     halted: bool = False
@@ -331,8 +326,6 @@ class StatsCollector:
             stats.retried_units += 1
         elif isinstance(event, UnitFailed):
             stats.failed_units += 1
-        elif isinstance(event, UnitTimedOut):
-            stats.timed_out_units += 1
         elif isinstance(event, StudyHalted):
             stats.halted = True
         elif isinstance(event, StudyFinished):
@@ -441,10 +434,6 @@ class TextProgressRenderer:
             self._emit(
                 f"FAILED {event.unit_id} after {event.attempts} "
                 f"attempt(s): {event.error}"
-            )
-        elif isinstance(event, UnitTimedOut):
-            self._emit(
-                f"timeout {event.unit_id} exceeded {event.timeout_s:.0f}s"
             )
         elif isinstance(event, StudyHalted):
             self._emit(

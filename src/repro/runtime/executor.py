@@ -12,6 +12,13 @@ the result sink, which makes committed units durable in a
 :class:`~repro.core.harness.StudyReport`, ``run_streamed()`` records them
 in its archive and returns a :class:`StreamedStudy`.
 
+One dispatch loop serves every pool.  ``workers=1`` submits to an inline
+pool that runs each unit at submit time on the coordinator's own suites;
+thread, process and borrowed pools take the same path.  The loop keeps at
+most a window of units submitted and not yet committed — one for the
+inline pool, two per worker for a real pool — so executors sharing one
+pool (the serve daemon's jobs) take turns unit by unit.
+
 Determinism is the design constraint everything else bends around:
 
 - every worker (thread or process) builds its *own* world from the study
@@ -28,11 +35,6 @@ results travel home by pickle).  The simulation is pure CPU-bound Python,
 so thread workers only help on interpreters without a GIL — the backend
 exists for correctness on both and for the process pool to exploit real
 cores where the hardware has them.
-
-The per-unit timeout is *hard* for units still queued (they are cancelled)
-and advisory for units already running — a GIL-bound worker cannot be
-preempted — which keeps timeouts from ever introducing nondeterminism into
-results that did complete.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import gc
 import pathlib
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
@@ -147,9 +149,9 @@ class StudyInterrupted(RuntimeError):
     Raised (after every in-flight unit has been committed and the
     checkpoint flushed) when the executor's ``stop_event`` is set — by a
     SIGTERM handler, a job cancellation, or a daemon drain.  ``completed``
-    counts units committed this run, ``remaining`` the units that were
-    still pending when the stop took effect; re-running with the same
-    checkpoint directory resumes exactly at the cut.
+    counts units committed this run, ``remaining`` the units never
+    dispatched; re-running with the same checkpoint directory resumes
+    exactly at the cut.
     """
 
     def __init__(self, completed: int, remaining: int) -> None:
@@ -277,6 +279,18 @@ def _process_run_unit(unit: AuditUnit) -> UnitOutcome:
         _PROCESS_STATE["suite_kwargs"],
     )
     return _timed_run_unit(suite, unit, suites)
+
+
+class _InlinePool(concurrent.futures.Executor):
+    """Runs each submitted call at once, on the submitting thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> concurrent.futures.Future:
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - the future carries it
+            future.set_exception(exc)
+        return future
 
 
 @dataclass
@@ -478,11 +492,12 @@ _ResultSink = _MemorySink | _ArchiveSink
 class StudyExecutor:
     """Run a study as a unit graph on a worker pool.
 
-    ``workers=1`` executes inline, in plan order, on the coordinator's own
-    world: the sequential path.  ``checkpoint_dir`` makes :meth:`run`'s
-    progress durable: re-running with the same directory (and parameters)
-    skips every unit whose results are already journalled there.  A
-    streamed run's archive is its own checkpoint.
+    ``workers=1`` (without a borrowed ``pool``) executes inline, in plan
+    order, on the coordinator's own world: the sequential path.
+    ``checkpoint_dir`` makes :meth:`run`'s progress durable: re-running
+    with the same directory (and parameters) skips every unit whose
+    results are already journalled there.  A streamed run's archive is its
+    own checkpoint.
     """
 
     def __init__(
@@ -493,10 +508,8 @@ class StudyExecutor:
         workers: int = 1,
         backend: str = "thread",
         retry: Optional[RetryPolicy] = None,
-        unit_timeout_s: Optional[float] = None,
         checkpoint_dir: Optional[str] = None,
         bus: Optional[ev.EventBus] = None,
-        sleep_on_retry: bool = False,
         obs: Optional["ObsConfig"] = None,
         stop_event: Optional[threading.Event] = None,
         pool: Optional[concurrent.futures.Executor] = None,
@@ -530,15 +543,13 @@ class StudyExecutor:
         self.workers = workers
         self.backend = backend
         self.retry = retry or RetryPolicy.single_retry()
-        self.unit_timeout_s = unit_timeout_s
         self.checkpoint_dir = checkpoint_dir
         self.bus = bus or ev.EventBus()
-        self.sleep_on_retry = sleep_on_retry
         # stop_event is the cooperative cancellation point: when set, the
         # executor stops dispatching, commits every unit already running,
         # and raises StudyInterrupted.  pool, when given, is an external
-        # ThreadPoolExecutor shared with other executors (the serve
-        # daemon's); the executor then never shuts it down.
+        # ThreadPoolExecutor of `workers` threads shared with other
+        # executors (the serve daemon's); the executor never shuts it down.
         self.stop_event = stop_event
         self.pool = pool
         self.obs_config = obs if obs is not None and obs.enabled else None
@@ -588,16 +599,6 @@ class StudyExecutor:
         )
         kwargs.update(overrides)
         return cls(**kwargs)
-
-    def request_stop(self) -> None:
-        """Ask the run to drain: finish in-flight units, then interrupt.
-
-        Creates the stop event lazily so callers that constructed the
-        executor without one (the CLI's signal handler) can still stop it.
-        """
-        if self.stop_event is None:
-            self.stop_event = threading.Event()
-        self.stop_event.set()
 
     @property
     def stats(self) -> ev.ExecutionStats:
@@ -732,23 +733,16 @@ class StudyExecutor:
     # ------------------------------------------------------------------
     # The study loop: one path for both sinks
     # ------------------------------------------------------------------
-    def run(self, limit_units: Optional[int] = None) -> "StudyReport":
+    def run(self) -> "StudyReport":
         """Execute the study; returns the assembled report.
 
         Unit results stay in memory as objects until assembly (and the
-        ``checkpoint_dir`` ends as the study's archive).  ``limit_units``
-        stops after that many units have been *executed* (checkpointed
-        units don't count) and assembles a partial report — the hook the
-        resume tests and benchmarks use to simulate a study killed mid-run
-        without actually killing a process.
+        ``checkpoint_dir`` ends as the study's archive).
         """
-        return self._execute(_MemorySink(self.checkpoint_dir), limit_units)
+        return self._execute(_MemorySink(self.checkpoint_dir))
 
     def run_streamed(
-        self,
-        archive_dir: str | pathlib.Path,
-        per_shard: bool = False,
-        limit_units: Optional[int] = None,
+        self, archive_dir: str | pathlib.Path, per_shard: bool = False
     ) -> StreamedStudy:
         """Execute the study, writing the archive as units complete.
 
@@ -767,17 +761,10 @@ class StudyExecutor:
         archive byte-identical to an unsharded, unstreamed run's.  With
         ``per_shard=False`` the single streamed archive itself is
         byte-identical to ``write_study_archive`` of :meth:`run`'s report.
-
-        ``limit_units`` mirrors :meth:`run`: stop after that many executed
-        units, leaving a readable archive prefix for resume tests.
         """
-        return self._execute(
-            _ArchiveSink(archive_dir, self.shards, per_shard), limit_units
-        )
+        return self._execute(_ArchiveSink(archive_dir, self.shards, per_shard))
 
-    def _execute(
-        self, sink: "_ResultSink", limit_units: Optional[int]
-    ) -> "StudyReport | StreamedStudy":
+    def _execute(self, sink: "_ResultSink") -> "StudyReport | StreamedStudy":
         """Plan, replay the journal, dispatch, assemble into *sink*."""
         telemetry = self._start_telemetry()
         try:
@@ -789,8 +776,6 @@ class StudyExecutor:
             journal = sink.open(plan)
             skipped = [u for u in plan.units if u.unit_id in journal]
             pending = [u for u in plan.units if u.unit_id not in journal]
-            if limit_units is not None:
-                pending = pending[:limit_units]
 
             self.bus.publish(
                 ev.StudyStarted(
@@ -810,10 +795,7 @@ class StudyExecutor:
                 )
 
             if pending:
-                if self.workers == 1 and self.pool is None:
-                    self._run_inline(suite, plan, pending, sink)
-                else:
-                    self._run_pooled(plan, pending, sink)
+                self._dispatch(suite, plan, pending, sink)
 
             obs = suite.obs
             profile = obs.profile if obs is not None else None
@@ -873,45 +855,152 @@ class StudyExecutor:
             sink.add(shard_suite, shard, name, report)
 
     # ------------------------------------------------------------------
-    # Inline (workers=1): the sequential path
+    # Dispatch: one loop for the inline, thread, process and shared pools
     # ------------------------------------------------------------------
-    def _run_inline(
+    def _pool(
+        self, suite: TestSuite
+    ) -> tuple[
+        concurrent.futures.Executor, Callable[[AuditUnit], UnitOutcome], int
+    ]:
+        """The pool this run dispatches to, its unit runner and window.
+
+        The window caps the units submitted and not yet committed: one for
+        the inline pool, and two per worker for a real pool, so no worker
+        idles while the coordinator commits.
+        """
+        if self.workers == 1 and self.pool is None:
+
+            def run_inline(unit: AuditUnit) -> UnitOutcome:
+                unit_suite = suite
+                if self.shards > 1:
+                    unit_suite = self._shard_suite(unit.shard)
+                return _timed_run_unit(unit_suite, unit, self._suites)
+
+            return _InlinePool(), run_inline, 1
+        if self.backend == "process":
+            pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_process_worker_init,
+                initargs=(
+                    self.seed, self.source, self.shards, self._suite_kwargs()
+                ),
+            )
+            return pool, _process_run_unit, 2 * self.workers
+        thread_state = threading.local()
+
+        def run_unit(unit: AuditUnit) -> UnitOutcome:
+            suites = getattr(thread_state, "suites", None)
+            if suites is None:
+                suites = SuiteCache()
+                thread_state.suites = suites
+            suite = _shard_suite_cached(
+                suites,
+                self.seed,
+                self.source,
+                unit.shard,
+                self.shards,
+                self._suite_kwargs(),
+            )
+            return _timed_run_unit(suite, unit, suites)
+
+        pool = self.pool or concurrent.futures.ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="repro-runtime"
+        )
+        return pool, run_unit, 2 * self.workers
+
+    def _dispatch(
         self,
         suite: TestSuite,
         plan: StudyPlan,
         pending: list[AuditUnit],
         sink: "_ResultSink",
     ) -> None:
+        """Run *pending* through the pool's window, committing each unit.
+
+        A unit is submitted, and its ``UnitStarted`` published, only when
+        a slot frees.  A failed attempt is resubmitted while the retry
+        policy allows it and no stop has been seen.  On a stop the loop
+        submits nothing more, cancels what the pool has not started,
+        commits the rest as it finishes, and halts with the units never
+        dispatched as ``remaining``.
+        """
+        pool, run_unit, window = self._pool(suite)
         index_of = {u.unit_id: i + 1 for i, u in enumerate(plan.units)}
-        for position, unit in enumerate(pending):
-            if self._stopped():
-                self._halt(remaining=len(pending) - position)
-            self._live["queue_depth"] = len(pending) - position - 1
-            self._live["in_flight"] = 1
-            self.bus.publish(
-                ev.UnitStarted(
-                    unit_id=unit.unit_id,
-                    provider=unit.provider,
-                    kind=unit.kind.value,
-                    index=index_of[unit.unit_id],
-                    total=len(plan.units),
-                    shard=unit.shard,
+        queue = deque(pending)
+        # future -> (unit, attempt number)
+        active: dict[concurrent.futures.Future, tuple[AuditUnit, int]] = {}
+        stopping = False
+        try:
+            while True:
+                if not stopping and self._stopped():
+                    stopping = True
+                    for future in list(active):
+                        if future.cancel():
+                            queue.append(active.pop(future)[0])
+                while queue and len(active) < window and not stopping:
+                    unit = queue.popleft()
+                    self._live["queue_depth"] = len(queue)
+                    self._live["in_flight"] = len(active) + 1
+                    self.bus.publish(
+                        ev.UnitStarted(
+                            unit_id=unit.unit_id,
+                            provider=unit.provider,
+                            kind=unit.kind.value,
+                            index=index_of[unit.unit_id],
+                            total=len(plan.units),
+                            shard=unit.shard,
+                        )
+                    )
+                    active[pool.submit(run_unit, unit)] = (unit, 1)
+                if not active:
+                    break
+                # With a stop event, wake up to see a stop while every
+                # worker is still busy.
+                done, _ = concurrent.futures.wait(
+                    active,
+                    timeout=0.2 if self.stop_event is not None else None,
+                    return_when=concurrent.futures.FIRST_COMPLETED,
                 )
-            )
-            unit_suite = (
-                suite if self.shards == 1 else self._shard_suite(unit.shard)
-            )
-            outcome = self._attempt_with_retry(
-                unit,
-                lambda: _timed_run_unit(unit_suite, unit, self._suites),
-            )
-            if outcome is None:
-                continue
-            self._commit(
-                unit, outcome, sink, queue_depth=len(pending) - position - 1
-            )
-        self._live["queue_depth"] = 0
-        self._live["in_flight"] = 0
+                for future in done:
+                    unit, attempt = active.pop(future)
+                    try:
+                        outcome = future.result()
+                    except Exception as exc:  # noqa: BLE001 - unit isolation
+                        if self.retry.should_retry(attempt) and not stopping:
+                            self.bus.publish(
+                                ev.UnitRetried(
+                                    unit_id=unit.unit_id,
+                                    attempt=attempt,
+                                    backoff_s=self.retry.backoff_s(
+                                        attempt, key=unit.unit_id
+                                    ),
+                                    error=repr(exc),
+                                )
+                            )
+                            active[pool.submit(run_unit, unit)] = (
+                                unit, attempt + 1
+                            )
+                        else:
+                            self.bus.publish(
+                                ev.UnitFailed(
+                                    unit_id=unit.unit_id,
+                                    attempts=attempt,
+                                    error=repr(exc),
+                                )
+                            )
+                        continue
+                    self._commit(
+                        unit, outcome, sink,
+                        queue_depth=len(queue) + len(active),
+                    )
+                self._live["in_flight"] = len(active)
+        finally:
+            self._live["queue_depth"] = 0
+            self._live["in_flight"] = 0
+            if pool is not self.pool:
+                pool.shutdown(wait=True)
+        if stopping:
+            self._halt(remaining=len(queue))
 
     # ------------------------------------------------------------------
     # Cooperative stop
@@ -927,221 +1016,6 @@ class StudyExecutor:
             ev.StudyHalted(completed=completed, remaining=remaining)
         )
         raise StudyInterrupted(completed=completed, remaining=remaining)
-
-    # ------------------------------------------------------------------
-    # Pooled (workers>1 or a shared pool): thread or process backend
-    # ------------------------------------------------------------------
-    def _run_pooled(
-        self,
-        plan: StudyPlan,
-        pending: list[AuditUnit],
-        sink: "_ResultSink",
-    ) -> None:
-        if self.backend == "process":
-            pool: concurrent.futures.Executor = (
-                concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_process_worker_init,
-                    initargs=(
-                        self.seed,
-                        self.source,
-                        self.shards,
-                        self._suite_kwargs(),
-                    ),
-                )
-            )
-            run_unit: Callable[[AuditUnit], UnitOutcome] = _process_run_unit
-        else:
-            pool = self.pool or concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-runtime",
-            )
-            thread_state = threading.local()
-
-            def run_unit(unit: AuditUnit) -> UnitOutcome:
-                suites = getattr(thread_state, "suites", None)
-                if suites is None:
-                    suites = SuiteCache()
-                    thread_state.suites = suites
-                suite = _shard_suite_cached(
-                    suites,
-                    self.seed,
-                    self.source,
-                    unit.shard,
-                    self.shards,
-                    self._suite_kwargs(),
-                )
-                return _timed_run_unit(suite, unit, suites)
-
-        index_of = {u.unit_id: i + 1 for i, u in enumerate(plan.units)}
-        # future -> (unit, attempt number, dispatch timestamp)
-        active: dict[concurrent.futures.Future, tuple[AuditUnit, int, float]]
-        active = {}
-        flagged_overrun: set[str] = set()
-        stop_seen = False
-        dropped = 0  # pending units cancelled before they started
-        try:
-            for unit in pending:
-                self.bus.publish(
-                    ev.UnitStarted(
-                        unit_id=unit.unit_id,
-                        provider=unit.provider,
-                        kind=unit.kind.value,
-                        index=index_of[unit.unit_id],
-                        total=len(plan.units),
-                        shard=unit.shard,
-                    )
-                )
-                active[pool.submit(run_unit, unit)] = (
-                    unit,
-                    1,
-                    time.perf_counter(),
-                )
-            while active:
-                # Every submitted-but-unfinished unit is in `active`; at
-                # most `workers` of them actually hold a worker.
-                self._live["in_flight"] = min(len(active), self.workers)
-                self._live["queue_depth"] = max(
-                    0, len(active) - self.workers
-                )
-                if self._stopped() and not stop_seen:
-                    # Drain: revoke everything still queued; the loop then
-                    # runs on to commit the units workers already hold.
-                    stop_seen = True
-                    for future in list(active):
-                        if future.cancel():
-                            active.pop(future)
-                            dropped += 1
-                done, _ = concurrent.futures.wait(
-                    active,
-                    timeout=self._wait_timeout(),
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                if self.unit_timeout_s:
-                    self._enforce_timeouts(active, done, flagged_overrun)
-                for future in done:
-                    unit, attempt, _dispatched = active.pop(future)
-                    try:
-                        outcome = future.result()
-                    except concurrent.futures.CancelledError:
-                        continue  # already reported by _enforce_timeouts
-                    except Exception as exc:  # noqa: BLE001 - unit isolation
-                        if self.retry.should_retry(attempt) and not stop_seen:
-                            backoff = self.retry.backoff_s(
-                                attempt, key=unit.unit_id
-                            )
-                            self.bus.publish(
-                                ev.UnitRetried(
-                                    unit_id=unit.unit_id,
-                                    attempt=attempt,
-                                    backoff_s=backoff,
-                                    error=repr(exc),
-                                )
-                            )
-                            if self.sleep_on_retry and backoff:
-                                time.sleep(backoff)
-                            active[pool.submit(run_unit, unit)] = (
-                                unit,
-                                attempt + 1,
-                                time.perf_counter(),
-                            )
-                        else:
-                            self.bus.publish(
-                                ev.UnitFailed(
-                                    unit_id=unit.unit_id,
-                                    attempts=attempt,
-                                    error=repr(exc),
-                                )
-                            )
-                        continue
-                    self._commit(
-                        unit, outcome, sink, queue_depth=len(active)
-                    )
-        finally:
-            self._live["queue_depth"] = 0
-            self._live["in_flight"] = 0
-            if pool is not self.pool:
-                pool.shutdown(wait=True)
-        if stop_seen:
-            self._halt(remaining=dropped)
-
-    def _wait_timeout(self) -> Optional[float]:
-        """Poll interval for the dispatch loop.
-
-        Bounded whenever a timeout must be enforced or a stop event could
-        arrive; None (block until a future completes) otherwise.
-        """
-        if self.unit_timeout_s:
-            return min(1.0, self.unit_timeout_s)
-        if self.stop_event is not None:
-            return 0.2
-        return None
-
-    def _enforce_timeouts(
-        self,
-        active: dict,
-        done: set,
-        flagged_overrun: set[str],
-    ) -> None:
-        now = time.perf_counter()
-        for future, (unit, attempt, dispatched) in list(active.items()):
-            if future in done or now - dispatched <= self.unit_timeout_s:
-                continue
-            if future.cancel():
-                # Never started: a hard timeout while queued.
-                active.pop(future)
-                self.bus.publish(
-                    ev.UnitTimedOut(
-                        unit_id=unit.unit_id, timeout_s=self.unit_timeout_s
-                    )
-                )
-                self.bus.publish(
-                    ev.UnitFailed(
-                        unit_id=unit.unit_id,
-                        attempts=attempt,
-                        error=f"timed out after {self.unit_timeout_s}s",
-                    )
-                )
-            elif unit.unit_id not in flagged_overrun:
-                # Running workers cannot be preempted; flag the overrun
-                # once and let the unit finish (its result is still used).
-                flagged_overrun.add(unit.unit_id)
-                self.bus.publish(
-                    ev.UnitTimedOut(
-                        unit_id=unit.unit_id, timeout_s=self.unit_timeout_s
-                    )
-                )
-
-    # ------------------------------------------------------------------
-    def _attempt_with_retry(
-        self, unit: AuditUnit, attempt_once: Callable[[], UnitOutcome]
-    ) -> Optional[UnitOutcome]:
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return attempt_once()
-            except Exception as exc:  # noqa: BLE001 - unit isolation
-                if not self.retry.should_retry(attempt):
-                    self.bus.publish(
-                        ev.UnitFailed(
-                            unit_id=unit.unit_id,
-                            attempts=attempt,
-                            error=repr(exc),
-                        )
-                    )
-                    return None
-                backoff = self.retry.backoff_s(attempt, key=unit.unit_id)
-                self.bus.publish(
-                    ev.UnitRetried(
-                        unit_id=unit.unit_id,
-                        attempt=attempt,
-                        backoff_s=backoff,
-                        error=repr(exc),
-                    )
-                )
-                if self.sleep_on_retry and backoff:
-                    time.sleep(backoff)
 
     def _commit(
         self,

@@ -8,9 +8,9 @@ policy: bounded attempts, exponential backoff, and *deterministic* jitter
 derived from ``(policy seed, unit key, attempt)`` so two runs of the same
 study schedule identical delays regardless of worker count.
 
-The policy is pure — it never sleeps itself.  Callers decide whether a
-computed backoff is worth waiting out (the simulated internet has no real
-flakiness, so the executor sleeps only when asked to).
+The policy is pure — it never sleeps itself.  The simulated internet has
+no real flakiness, so the executor retries a unit at once and only reports
+the computed backoff (``UnitRetried.backoff_s``).
 """
 
 from __future__ import annotations

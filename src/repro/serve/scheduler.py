@@ -6,10 +6,12 @@ jobs off the :class:`~repro.serve.jobs.JobQueue` (priority order, at most
 runner thread.  The *unit work* of every job, however, executes on a
 single shared :class:`~concurrent.futures.ThreadPoolExecutor` — each
 job's :class:`~repro.runtime.executor.StudyExecutor` borrows the pool via
-its ``pool=`` parameter — so two concurrent jobs interleave at unit
-granularity on the same ``workers`` threads instead of each spawning its
-own pool.  Results stay byte-identical regardless of the interleaving
-because unit results are independent of scheduling order by construction.
+its ``pool=`` parameter and keeps at most two units per worker submitted
+to it — so concurrent jobs take turns unit by unit on the same
+``workers`` threads instead of each spawning its own pool, and a job that
+starts second does not wait for the first job's whole plan.  Results
+stay byte-identical regardless of the interleaving because unit results
+are independent of scheduling order by construction.
 
 Each job also gets:
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import shutil
 from typing import TYPE_CHECKING, Optional
 
 from repro.codec import to_jsonable
@@ -48,6 +49,9 @@ _SEQUENCE = "sequence.json"
 _JOBS = "jobs"
 _JOB = "job.json"
 _ARCHIVE = "archive"
+#: A job's separate checkpoint tree (``plan.json`` + ``results/``), written
+#: before the archive became the checkpoint; nothing reads it.
+_OLD_CHECKPOINT = "checkpoint"
 _EVENTS = "events.jsonl"
 
 #: Fetchable result documents: name -> filename.
@@ -241,7 +245,8 @@ class ResultStore:
 
         Results, finished archives (a snapshots job's ``snapshot-NN`` too)
         and the job record are kept — only the crash-resume scaffolding
-        goes.  Jobs still queued or running are never touched.
+        goes, including a ``checkpoint/`` tree of the old layout.  Jobs
+        still queued or running are never touched.
         """
         from repro.runtime.checkpoint import CheckpointStore
 
@@ -253,7 +258,12 @@ class ResultStore:
                 continue
             archive = self.archive_dir(record.job_id)
             stores = [archive, *sorted(archive.glob("snapshot-*"))]
-            if removed := sum(CheckpointStore(d).prune() for d in stores):
+            removed = sum(CheckpointStore(d).prune() for d in stores)
+            old = self.job_dir(record.job_id) / _OLD_CHECKPOINT
+            if old.is_dir():
+                removed += sum(1 for p in old.rglob("*") if p.is_file())
+                shutil.rmtree(old)
+            if removed:
                 pruned[record.job_id] = removed
         return pruned
 

@@ -23,7 +23,7 @@ from repro.core.archive import (
 from repro.core.harness import TestSuite
 from repro.runtime import events as ev
 from repro.runtime.checkpoint import CheckpointMismatchError, CheckpointStore
-from repro.runtime.executor import StudyExecutor
+from repro.runtime.executor import StudyExecutor, StudyInterrupted
 from repro.runtime.retry import RetryPolicy, stable_hash
 from repro.runtime.units import (
     AuditUnit,
@@ -33,6 +33,7 @@ from repro.runtime.units import (
     derive_unit_seed,
 )
 from repro.world import World
+from tests.test_runtime_stop import _stop_after
 
 SMALL = ["Seed4.me", "Mullvad"]
 # archive_fingerprint of the SMALL study at seed 2018 and
@@ -312,11 +313,14 @@ class TestStudyExecutor:
 
     def test_resume_after_partial_run(self, tmp_path):
         checkpoint = tmp_path / "ck"
+        stop = threading.Event()
         first = StudyExecutor(
             seed=2018, providers=SMALL, max_vantage_points=2,
-            workers=1, checkpoint_dir=str(checkpoint),
+            workers=1, checkpoint_dir=str(checkpoint), stop_event=stop,
         )
-        first.run(limit_units=2)
+        _stop_after(first.bus, stop, units=2)
+        with pytest.raises(StudyInterrupted):
+            first.run()
         assert first.stats.completed_units == 2
 
         events: list = []
@@ -337,11 +341,14 @@ class TestStudyExecutor:
         """A journalled unit whose result file is torn is not committed:
         the resume re-runs it, and the checkpoint ends as the archive."""
         checkpoint = tmp_path / "ck"
+        stop = threading.Event()
         first = StudyExecutor(
             seed=2018, providers=SMALL, max_vantage_points=2,
-            workers=1, checkpoint_dir=str(checkpoint),
+            workers=1, checkpoint_dir=str(checkpoint), stop_event=stop,
         )
-        first.run(limit_units=3)
+        _stop_after(first.bus, stop, units=3)
+        with pytest.raises(StudyInterrupted):
+            first.run()
         assert first.plan.units[1].hostnames == ("au09.mullvad.net",)
         victim = checkpoint / "mullvad" / "au09_mullvad_net.json"
         victim.write_bytes(victim.read_bytes()[:40])
@@ -358,10 +365,14 @@ class TestStudyExecutor:
 
     def test_resume_rejects_different_parameters(self, tmp_path):
         checkpoint = tmp_path / "ck"
-        StudyExecutor(
+        stop = threading.Event()
+        first = StudyExecutor(
             seed=2018, providers=SMALL, max_vantage_points=2,
-            checkpoint_dir=str(checkpoint),
-        ).run(limit_units=1)
+            checkpoint_dir=str(checkpoint), stop_event=stop,
+        )
+        _stop_after(first.bus, stop, units=1)
+        with pytest.raises(StudyInterrupted):
+            first.run()
         clashing = StudyExecutor(
             seed=2018, providers=SMALL, max_vantage_points=1,
             checkpoint_dir=str(checkpoint),

@@ -95,14 +95,6 @@ class TestStopEvent:
         assert len(journal.read_text().splitlines()) == err.value.completed
         assert executor.stats.halted
 
-    def test_request_stop_without_prior_event(self):
-        from repro.runtime.executor import StudyInterrupted
-
-        executor = _executor()
-        executor.request_stop()
-        with pytest.raises(StudyInterrupted):
-            executor.run()
-
     def test_interrupted_run_resumes_to_identical_archive(self, tmp_path):
         """Stop + resume must produce the same bytes as one clean run."""
         from repro.core.archive import archive_fingerprint, write_study_archive
@@ -172,6 +164,63 @@ class TestSharedPool:
             GOLDEN_STUDY_FINGERPRINT
         )
 
+    def test_jobs_on_a_shared_pool_take_turns(self, tmp_path):
+        """A job started second on a shared pool finishes a unit before
+        the first job finishes its last: each executor keeps only its
+        window of units on the pool, so the two take turns."""
+        from repro.core.archive import archive_fingerprint, write_study_archive
+        from repro.runtime import events as ev
+        from repro.runtime.executor import StudyExecutor
+        from repro.source import StudySource
+
+        finished: list[str] = []  # job name per UnitFinished, in order
+        first_finished = threading.Event()
+
+        def job(name, pool):
+            executor = StudyExecutor(
+                seed=2018,
+                source=StudySource.generated(4, generator_seed=7),
+                max_vantage_points=2,
+                workers=2,
+                pool=pool,
+            )
+
+            def listener(event):
+                if isinstance(event, ev.UnitFinished):
+                    finished.append(name)
+                    if name == "first":
+                        first_finished.set()
+
+            executor.bus.subscribe(listener)
+            return executor
+
+        reports = {}
+        pool = ThreadPoolExecutor(max_workers=2)
+        try:
+            first = job("first", pool)
+            runner = threading.Thread(
+                target=lambda: reports.setdefault("first", first.run())
+            )
+            runner.start()
+            assert first_finished.wait(timeout=120)
+            second = job("second", pool)
+            reports["second"] = second.run()
+            runner.join(timeout=120)
+            assert not runner.is_alive()
+        finally:
+            pool.shutdown()
+
+        assert finished.count("first") == len(first.plan.units)
+        assert finished.count("second") == len(second.plan.units)
+        last_of_first = len(finished) - 1 - finished[::-1].index("first")
+        assert finished.index("second") < last_of_first
+        # Taking turns moves no byte.
+        for name, report in reports.items():
+            write_study_archive(report, tmp_path / name)
+        assert archive_fingerprint(tmp_path / "first") == (
+            archive_fingerprint(tmp_path / "second")
+        )
+
     def test_external_pool_requires_thread_backend(self):
         from repro.runtime.executor import StudyExecutor
 
@@ -185,22 +234,30 @@ class TestSharedPool:
 
 class TestCheckpointPrune:
     def test_prune_removes_everything_and_counts_files(self, tmp_path):
+        """A stopped run's checkpoint, and a stopped streamed run's
+        archive, are unfinished: prune removes each whole."""
         from repro.runtime.checkpoint import CheckpointStore
         from repro.runtime.executor import StudyInterrupted
 
-        stop = threading.Event()
-        executor = _executor(
-            stop_event=stop, checkpoint_dir=str(tmp_path / "ckpt")
-        )
-        _stop_after(executor.bus, stop, units=2)
-        with pytest.raises(StudyInterrupted):
-            executor.run()
-        assert (tmp_path / "ckpt" / "units.jsonl").exists()
+        for streamed in (False, True):
+            directory = tmp_path / ("streamed" if streamed else "ckpt")
+            stop = threading.Event()
+            executor = _executor(
+                stop_event=stop,
+                checkpoint_dir=None if streamed else str(directory),
+            )
+            _stop_after(executor.bus, stop, units=2)
+            with pytest.raises(StudyInterrupted):
+                if streamed:
+                    executor.run_streamed(directory)
+                else:
+                    executor.run()
+            assert (directory / "units.jsonl").exists()
 
-        removed = CheckpointStore(tmp_path / "ckpt").prune()
-        # journal + plan pin + one results file per committed unit.
-        assert removed >= 4
-        assert not (tmp_path / "ckpt").exists()
+            removed = CheckpointStore(directory).prune()
+            # journal + plan pin + one results file per committed unit.
+            assert removed >= 4
+            assert not directory.exists()
 
     def test_prune_keeps_a_finished_archive(self, tmp_path):
         """A finished checkpoint is the study's archive: prune removes

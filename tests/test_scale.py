@@ -4,15 +4,17 @@ The scale-out machinery (parametric provider generation, per-shard world
 construction, append-only archives) must be invisible in the output: any
 combination of source/shards/stream has to produce the same bytes as the
 classic monolithic in-memory path.  These tests pin that, plus the API
-redesign around it (StudySource round-trips, the deprecation shim, the
-protocol edge).
+redesign around it (StudySource round-trips, config-only entry points,
+the protocol edge).
 """
 
 import json
 import pathlib
-import warnings
+import threading
 
 import pytest
+
+from tests.test_runtime_stop import _stop_after
 
 PROVIDERS = ["Seed4.me", "PureVPN", "MyIP.io"]
 
@@ -34,9 +36,10 @@ def _sink_outcome(tmp_path, sink, resumed):
     *sink* picks the storage: ``memory`` is ``run()`` then
     ``write_study_archive``, ``streamed`` one ``run_streamed`` archive,
     ``per-shard`` per-shard archives at ``shards=2`` merged.  *resumed*
-    first journals 4 of the 9 units under ``limit_units`` and reports the
-    run that resumes from that checkpoint: the memory sink's
-    ``checkpoint_dir``, or the archive sinks' own archive, re-run into.
+    first stops the study through its stop event once 4 of the 9 units
+    have committed, and reports the run that resumes from that
+    checkpoint: the memory sink's ``checkpoint_dir``, or the archive
+    sinks' own archive, re-run into.
     """
     from repro.core.archive import (
         archive_fingerprint,
@@ -45,14 +48,17 @@ def _sink_outcome(tmp_path, sink, resumed):
     )
     from repro.obs.config import ObsConfig
     from repro.runtime.events import EventBus
-    from repro.runtime.executor import StudyExecutor
+    from repro.runtime.executor import StudyExecutor, StudyInterrupted
 
     archive = tmp_path / "archive"
 
-    def execute(limit_units=None):
+    def execute(stop_after=None):
         bus = EventBus()
         events = []
         bus.subscribe(lambda event: events.append(type(event).__name__))
+        stop = threading.Event()
+        if stop_after is not None:
+            _stop_after(bus, stop, units=stop_after)
         executor = StudyExecutor(
             providers=PROVIDERS,
             max_vantage_points=2,
@@ -63,19 +69,15 @@ def _sink_outcome(tmp_path, sink, resumed):
             ),
             obs=ObsConfig(profile=True),
             bus=bus,
+            stop_event=stop,
         )
         if sink == "memory":
-            report = executor.run(limit_units)
-            if limit_units is None:
-                write_study_archive(report, archive)
+            write_study_archive(executor.run(), archive)
         elif sink == "streamed":
-            executor.run_streamed(archive, limit_units=limit_units)
+            executor.run_streamed(archive)
         else:
-            shards = executor.run_streamed(
-                tmp_path / "shards", per_shard=True, limit_units=limit_units
-            )
-            if limit_units is None:
-                merge_archives(shards.shard_dirs, archive)
+            shards = executor.run_streamed(tmp_path / "shards", per_shard=True)
+            merge_archives(shards.shard_dirs, archive)
         counters = executor.metrics.snapshot()["counters"]
         calls = {
             name: value
@@ -85,7 +87,8 @@ def _sink_outcome(tmp_path, sink, resumed):
         return events, calls
 
     if resumed:
-        execute(limit_units=4)
+        with pytest.raises(StudyInterrupted):
+            execute(stop_after=4)
     events, calls = execute()
     return archive_fingerprint(archive), events, calls
 
@@ -350,16 +353,23 @@ class TestStreamingArchives:
             archive_fingerprint,
             iter_archive_results,
         )
-        from repro.runtime.executor import StudyExecutor
+        from repro.runtime.executor import StudyExecutor, StudyInterrupted
 
         mono = _mono_fingerprint(tmp_path, providers=PROVIDERS)
         archive = tmp_path / "streamed"
 
+        stop = threading.Event()
         partial = StudyExecutor(
             providers=PROVIDERS,
             max_vantage_points=2,
-        ).run_streamed(archive, limit_units=2)
-        assert partial.fingerprint() != mono  # study genuinely incomplete
+            stop_event=stop,
+        )
+        _stop_after(partial.bus, stop, units=2)
+        with pytest.raises(StudyInterrupted):
+            partial.run_streamed(archive)
+        # A stopped run finishes no archive: no manifest, other bytes.
+        assert not (archive / "manifest.json").exists()
+        assert archive_fingerprint(archive) != mono
 
         # Every file the interrupted run wrote is complete, parseable JSON
         # (results are written whole; the journal append is the commit).
@@ -458,7 +468,7 @@ class TestStreamingArchives:
 
 
 # ----------------------------------------------------------------------
-# API surface: config routing, deprecation shim, protocol edge
+# API surface: config routing, config-only entry points, protocol edge
 # ----------------------------------------------------------------------
 class TestStudyInputApi:
     def test_run_full_study_streams_via_config(self, tmp_path):
@@ -514,26 +524,16 @@ class TestStudyInputApi:
             tmp_path / "b", source=StudySource.explicit(PROVIDERS)
         )
 
-    def test_legacy_kwargs_warning_renders_replacement(self):
+    def test_legacy_keywords_are_a_type_error(self):
+        """The entry points take a StudyConfig; the old keywords are gone."""
         from repro import api
 
-        api._DEPRECATION_WARNED.discard("run_full_study")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.run_full_study(
-                providers=["Seed4.me"], max_vantage_points=1
-            )
-        rendered = [
-            str(w.message)
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert rendered, "no DeprecationWarning raised"
-        # The warning is copy-pasteable: it names the exact config= call.
-        assert (
-            "run_full_study(config=repro.StudyConfig("
-            "max_vantage_points=1, providers=['Seed4.me']))" in rendered[0]
-        )
+        with pytest.raises(TypeError):
+            api.run_full_study(seed=7)
+        with pytest.raises(TypeError):
+            api.audit_provider("Seed4.me", seed=7)
+        with pytest.raises(TypeError):
+            api.run_longitudinal_study(seed=7)
 
     def test_streamed_jobs_rejected_at_protocol_edge(self, tmp_path):
         from repro.config import StudyConfig

@@ -348,6 +348,30 @@ class TestResultStore:
         assert store.archive_dir("job-00001-run").exists()
         assert not store.archive_dir("job-00002-don").exists()
 
+    def test_prune_removes_a_checkpoint_tree_of_the_old_layout(
+        self, tmp_path
+    ):
+        """A state directory written before the archive was the
+        checkpoint keeps ``jobs/<id>/checkpoint/`` (``plan.json``, the
+        journal and ``results/``); prune removes it and counts its files."""
+        from repro.serve.protocol import JobRecord, JobState
+        from repro.serve.store import ResultStore
+
+        store = ResultStore(tmp_path)
+        job_id = "job-00001-old"
+        store.save_record(JobRecord(
+            job_id=job_id, request=_request(), state=JobState.COMPLETED
+        ))
+        old = store.job_dir(job_id) / "checkpoint"
+        (old / "results" / "seed4_me").mkdir(parents=True)
+        (old / "plan.json").write_text("{}\n")
+        (old / "units.jsonl").write_text("{}\n")
+        (old / "results" / "seed4_me" / "vp1.json").write_text("{}\n")
+
+        assert store.prune_checkpoints() == {job_id: 3}
+        assert not old.exists()
+        assert (store.job_dir(job_id) / "job.json").exists()
+
 
 # ----------------------------------------------------------------------
 # The daemon over HTTP

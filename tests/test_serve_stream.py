@@ -69,7 +69,6 @@ class TestEventWire:
                            error="boom"),
             ev.UnitFailed(unit_id="u", attempts=3, error="boom"),
             ev.UnitSkipped(unit_id="u", wall_ms=9.0),
-            ev.UnitTimedOut(unit_id="u", timeout_s=30.0),
             ev.StudyFinished(wall_s=1.0, completed=4, skipped=0,
                              failed=0, retried=1),
             ev.StudyHalted(completed=2, remaining=2),

@@ -1,12 +1,8 @@
-"""StudyConfig API tests: the frozen config object and the kwargs shim.
-
-Both spellings of every entry point — ``config=StudyConfig(...)`` and the
-deprecated keyword arguments — must execute the same path and produce the
-same report; the shim warns exactly once per process per function.
+"""StudyConfig API tests: the frozen config object every entry point
+takes, its wire round trip, and the report types the entry points return.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -63,54 +59,6 @@ class TestStudyConfig:
         # Unknown keys (forward compatibility) are ignored.
         data["added_in_future_version"] = True
         assert from_jsonable(StudyConfig, data) == config
-
-
-class TestKwargsShim:
-    def _fresh_api(self):
-        """api with the warn-once latch cleared for this test."""
-        from repro import api
-
-        api._DEPRECATION_WARNED.clear()
-        return api
-
-    def test_legacy_kwargs_warn_once_and_match_config_path(self):
-        api = self._fresh_api()
-
-        with pytest.warns(DeprecationWarning, match="StudyConfig"):
-            legacy = api.audit_provider("Seed4.me", seed=2018)
-        # Second legacy call: no further warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            again = api.audit_provider("Seed4.me", seed=2018)
-        from repro.config import StudyConfig
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            via_config = api.audit_provider(
-                "Seed4.me", config=StudyConfig(seed=2018)
-            )
-        assert legacy.to_dict() == again.to_dict() == via_config.to_dict()
-
-    def test_config_plus_kwargs_rejected(self):
-        api = self._fresh_api()
-        from repro.config import StudyConfig
-
-        with pytest.raises(TypeError, match="not both"):
-            api.run_full_study(StudyConfig(), workers=2)
-
-    def test_run_full_study_shim_equivalence(self):
-        api = self._fresh_api()
-        from repro.codec import to_jsonable
-        from repro.config import StudyConfig
-
-        with pytest.warns(DeprecationWarning):
-            legacy = api.run_full_study(
-                providers=["Seed4.me"], max_vantage_points=1
-            )
-        via_config = api.run_full_study(
-            StudyConfig(providers=["Seed4.me"], max_vantage_points=1)
-        )
-        assert to_jsonable(legacy) == to_jsonable(via_config)
 
 
 class TestStudyReportRoundTrip:
