@@ -61,7 +61,6 @@ def run_full_study(
     *,
     stop_event=None,
     bus=None,
-    ledger_path=None,
     sample_interval_s=None,
 ):
     """Run the paper's full study: all 62 providers.
@@ -83,12 +82,11 @@ def run_full_study(
     is what the CLI's SIGTERM handler and the serve daemon use.
 
     ``bus`` supplies the :class:`repro.runtime.EventBus` the run publishes
-    on (pass one to attach subscribers — a dashboard, a renderer — before
-    the study starts); ``ledger_path`` persists the runtime telemetry
-    stream as JSONL (``repro ledger show`` reads it back) and
-    ``sample_interval_s`` sets the background resource sampler's cadence
-    — either turns the sampler on.  Telemetry is a side channel: results
-    and archive bytes are identical with or without it.
+    on (pass one to attach subscribers — a dashboard, a renderer, an
+    :class:`repro.runtime.EventLog` that ``repro ledger show`` reads back —
+    before the study starts), and ``sample_interval_s`` turns on the
+    background resource sampler at that cadence.  Telemetry is a side
+    channel: results and archive bytes are identical with or without it.
 
     ``config.source`` generalises ``config.providers``: a
     :class:`repro.StudySource` naming the catalogue, an explicit provider
@@ -120,7 +118,6 @@ def run_full_study(
         config,
         bus=bus,
         stop_event=stop_event,
-        ledger_path=ledger_path,
         sample_interval_s=sample_interval_s,
     )
     # A streamed run writes one combined archive regardless of shard
@@ -158,6 +155,7 @@ def explain_provider(
         config = StudyConfig()
     config = config.replace(
         providers=(name,),
+        source=None,
         obs=config.obs.replace(trace=True),
     )
     study = run_full_study(config=config)

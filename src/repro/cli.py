@@ -12,7 +12,7 @@ VPN services; this CLI is the reproduction's equivalent front door:
                           [--profile-stages] [--dashboard] [--ledger [PATH]]
                           [--trace FILE] [--metrics] [--metrics-out FILE]
                           [--flight-recorder N]
-    python -m repro ledger show ledger.jsonl   # run-ledger telemetry summary
+    python -m repro ledger show ledger.jsonl   # a run's numbers from its log
     python -m repro trace summarize out.jsonl  # span-tree / packet summary
     python -m repro trace flows out.jsonl      # per-packet causal hop chains
     python -m repro trace query 'kind=packet_send status=delivered' out.jsonl
@@ -135,9 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument(
         "--ledger", nargs="?", const="auto", metavar="PATH",
-        help="persist runtime telemetry (resource samples, unit "
-             "completions) as JSONL; bare --ledger writes ledger.jsonl "
-             "next to --archive (or the working directory)",
+        help="write the run's event log (unit lifecycle, resource "
+             "samples, metrics deltas) as JSONL; bare --ledger writes "
+             "ledger.jsonl next to --archive (or the working directory)",
     )
     study.add_argument(
         "--trace", metavar="FILE",
@@ -197,17 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
     trace_diff.add_argument("file_b", help="candidate JSONL trace")
 
     ledger = sub.add_parser(
-        "ledger", help="inspect a run ledger written by 'study --ledger'"
+        "ledger", help="inspect an event log written by 'study --ledger' "
+                       "or a served job's events.jsonl",
     )
     ledger_sub = ledger.add_subparsers(dest="ledger_cmd", required=True)
     ledger_show = ledger_sub.add_parser(
-        "show", help="summarize one ledger: peak RSS, queue depth, "
-                     "shard residency, world-suite LRU hit rate",
+        "show", help="replay one event log into the 'client top' table: "
+                     "progress, workers, resource peaks, hottest stages",
     )
-    ledger_show.add_argument("file", help="path to the ledger JSONL file")
+    ledger_show.add_argument("file", help="path to the event log JSONL file")
     ledger_show.add_argument(
         "--json", action="store_true", dest="as_json",
-        help="emit the summary as machine-readable JSON",
+        help="emit the numbers as machine-readable JSON",
     )
 
     report = sub.add_parser(
@@ -554,24 +555,25 @@ def cmd_study(
             return 0
 
         from repro.api import run_full_study
+        from repro.runtime.events import EventBus, EventLog
 
-        # Telemetry riders: the dashboard subscribes to the run's bus
-        # before the study starts; either the ledger or the dashboard
-        # turns the background resource sampler on.
-        bus = None
-        panel = None
+        # Telemetry riders subscribe to the run's bus before the study
+        # starts; either the ledger or the dashboard turns the background
+        # resource sampler on.
+        bus = EventBus()
+        panel = ledger = None
         if dashboard:
             from repro.runtime.dashboard import Dashboard
-            from repro.runtime.events import EventBus
 
-            bus = EventBus()
             panel = Dashboard(bus, stream=sys.stderr).start()
+        if ledger_path:
+            ledger = EventLog(ledger_path)
+            bus.subscribe(ledger)
         try:
             study = run_full_study(
                 config=config,
                 stop_event=stop_event,
                 bus=bus,
-                ledger_path=ledger_path,
                 sample_interval_s=0.5 if dashboard or ledger_path else None,
             )
         except StudyInterrupted as exc:
@@ -579,6 +581,8 @@ def cmd_study(
         finally:
             if panel is not None:
                 panel.stop()
+            if ledger is not None:
+                ledger.close()
     except (CheckpointMismatchError, ArchiveReadError) as exc:
         # --resume or --stream --archive named another study's directory
         # (nothing ran), or a streamed archive lost a unit's bytes under it.
@@ -918,20 +922,27 @@ def cmd_client(args) -> int:
 def cmd_ledger_show(file: str, as_json: bool = False) -> int:
     import json
 
-    from repro.obs.sample import ledger_summary, read_ledger, render_ledger
+    from repro.runtime.dashboard import render_top, state_from_events
+    from repro.runtime.events import read_events
 
     try:
-        entries = read_ledger(file)
+        records = read_events(file)
     except OSError as exc:
         print(f"cannot read ledger {file!r}: {exc}", file=sys.stderr)
         return 2
-    if not entries:
+    if not records:
         print(f"no ledger records parsed from {file!r}", file=sys.stderr)
         return 2
+    try:
+        top = state_from_events(records).top()
+    except ValueError as exc:  # a record naming an event, in another shape
+        print(f"bad ledger record in {file!r}: {exc}", file=sys.stderr)
+        return 2
     if as_json:
-        print(json.dumps(ledger_summary(entries), indent=2, sort_keys=True))
+        print(json.dumps(top, indent=2, sort_keys=True))
     else:
-        print(render_ledger(entries))
+        print(f"ledger   : {file}")
+        print(render_top(top))
     return 0
 
 

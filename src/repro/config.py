@@ -4,9 +4,9 @@
 what to measure (seed, providers, vantage-point cap), how to schedule it
 (workers, backend, checkpointing, snapshots) and what to observe
 (:class:`~repro.obs.config.ObsConfig`).  The CLI builds one from its flags,
-``repro.api`` accepts one via ``config=`` (the individual kwargs survive as
-a deprecated shim), and the executor/scheduler construct themselves from
-one — so a config value round-trips unchanged from flag to worker.
+``repro.api`` takes one as ``config=``, and the executor/scheduler
+construct themselves from one — so a config value round-trips unchanged
+from flag to worker.
 
 Frozen and hashable on purpose: a config can key caches, be compared for
 checkpoint compatibility, and cannot drift mid-study.

@@ -41,9 +41,6 @@ _EXPORTS = {
     "stage_breakdown": ("repro.obs.profile", "stage_breakdown"),
     "render_profile_table": ("repro.obs.profile", "render_profile_table"),
     "ResourceSampler": ("repro.obs.sample", "ResourceSampler"),
-    "RunLedger": ("repro.obs.sample", "RunLedger"),
-    "read_ledger": ("repro.obs.sample", "read_ledger"),
-    "render_ledger": ("repro.obs.sample", "render_ledger"),
     "render_prometheus": ("repro.obs.export", "render_prometheus"),
     "parse_exposition": ("repro.obs.export", "parse_exposition"),
 }
@@ -69,12 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         render_profile_table,
         stage_breakdown,
     )
-    from repro.obs.sample import (
-        ResourceSampler,
-        RunLedger,
-        read_ledger,
-        render_ledger,
-    )
+    from repro.obs.sample import ResourceSampler
     from repro.obs.evidence import (
         EvidenceChain,
         EvidenceCollector,

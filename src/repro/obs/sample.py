@@ -1,4 +1,4 @@
-"""Runtime resource sampling and the run ledger.
+"""Runtime resource sampling.
 
 Where :mod:`repro.obs.profile` answers "where does delivery time go?",
 this module answers "what is the *machine* doing while the study runs?"
@@ -6,21 +6,17 @@ this module answers "what is the *machine* doing while the study runs?"
 shard worlds each worker is holding, and how well the per-worker world
 LRU is doing.
 
-Two pieces:
-
-- :class:`ResourceSampler` — a coordinator-side background ticker that
-  calls a probe every ``interval_s`` and publishes the resulting
-  :class:`~repro.runtime.events.ResourceSample` on the executor's event
-  bus.  Worker-side numbers arrive separately: each completed unit
-  carries a small resource payload home with its results, which the
-  executor publishes as a :class:`~repro.runtime.events.WorkerSample`.
-
-- :class:`RunLedger` — a bus subscriber that persists the telemetry
-  stream as JSON Lines (``ledger.jsonl``), one timestamped record per
-  event.  The ledger rides *alongside* the archive: it is ``.jsonl``
-  precisely so :func:`repro.core.archive.archive_fingerprint` (which
-  hashes ``*.json``) never sees it — a ledgered run stays byte-identical
-  to an unledgered one.
+:class:`ResourceSampler` is a coordinator-side background ticker that
+calls a probe every ``interval_s`` and publishes the resulting
+:class:`~repro.runtime.events.ResourceSample` on the executor's event
+bus.  Worker-side numbers arrive separately: each completed unit carries
+a small resource payload (read with :func:`rss_kb`) home with its
+results, which the executor publishes as a
+:class:`~repro.runtime.events.WorkerSample`.  Both land wherever the bus
+goes: the fold (:class:`repro.runtime.dashboard.DashboardState`) turns
+them into ``runtime.*`` gauges and peaks, and an
+:class:`~repro.runtime.events.EventLog` (``repro study --ledger``, a
+served job's ``events.jsonl``) records them.
 
 Nothing here touches the simulation: samples are read from the OS and
 the executor's own bookkeeping, never from world state, and none of it
@@ -30,13 +26,9 @@ series live under ``runtime.*`` gauges only).
 
 from __future__ import annotations
 
-import json
-import pathlib
 import threading
 import time
 from typing import TYPE_CHECKING, Callable, Optional
-
-from repro.runtime.events import event_to_dict
 
 if TYPE_CHECKING:
     from repro.runtime.events import Event, EventBus
@@ -79,7 +71,7 @@ class ResourceSampler:
     reads its own live queue/in-flight counters plus :func:`rss_kb`);
     the sampler only owns the cadence.  :meth:`stop` publishes one final
     sample before joining, so even a run shorter than ``interval_s``
-    lands at least one record in the ledger.
+    lands at least one sample on the bus.
     """
 
     def __init__(
@@ -127,164 +119,4 @@ class ResourceSampler:
         self._sample_once()
 
 
-class RunLedger:
-    """Persist the telemetry event stream as JSON Lines.
-
-    Subscribes to the executor's bus and appends one record per
-    telemetry-relevant event — study lifecycle, per-unit completion,
-    coordinator resource samples, worker samples — each stamped with
-    seconds elapsed since the ledger opened.  Rendered back by
-    ``repro ledger show`` (:func:`render_ledger`).
-    """
-
-    #: Event class names worth persisting.  Per-packet noise (UnitMetrics
-    #: snapshots) stays off the ledger; it has its own channel.
-    RECORDED = frozenset(
-        {
-            "StudyStarted",
-            "StudyFinished",
-            "StudyHalted",
-            "UnitFinished",
-            "UnitFailed",
-            "ResourceSample",
-            "WorkerSample",
-        }
-    )
-
-    def __init__(self, path: str | pathlib.Path, bus: "EventBus") -> None:
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("w", encoding="utf-8")
-        self._lock = threading.Lock()
-        self._t0 = time.monotonic()
-        self.bus = bus
-        bus.subscribe(self._handle_event, replay=True)
-
-    def _handle_event(self, event: "Event") -> None:
-        if type(event).__name__ not in self.RECORDED:
-            return
-        data = event_to_dict(event)
-        if data is None:
-            return
-        record = {"t": round(time.monotonic() - self._t0, 3)}
-        record.update(data)
-        line = json.dumps(record, sort_keys=True)
-        with self._lock:
-            if self._handle.closed:
-                return
-            self._handle.write(line + "\n")
-
-    def close(self) -> None:
-        self.bus.unsubscribe(self._handle_event)
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-                self._handle.close()
-
-
-def read_ledger(path: str | pathlib.Path) -> list[dict]:
-    """Read a ledger back; corrupt (torn) lines are skipped."""
-    entries: list[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                entries.append(record)
-    return entries
-
-
-def ledger_summary(entries: list[dict]) -> dict:
-    """Aggregate a ledger into the numbers the renderer (and CI) checks."""
-    coordinator = [e for e in entries if e.get("event") == "ResourceSample"]
-    workers = [e for e in entries if e.get("event") == "WorkerSample"]
-    units = [e for e in entries if e.get("event") == "UnitFinished"]
-    finished = next(
-        (e for e in entries if e.get("event") == "StudyFinished"), None
-    )
-
-    def peak(records: list[dict], key: str) -> float:
-        return max((r.get(key) or 0 for r in records), default=0)
-
-    worker_names = sorted({w.get("worker", "?") for w in workers})
-    return {
-        "samples": len(coordinator),
-        "worker_samples": len(workers),
-        "units_finished": len(units),
-        "rss_peak_kb": int(
-            max(peak(coordinator, "rss_kb"), peak(workers, "rss_kb"))
-        ),
-        "queue_depth_peak": int(peak(coordinator, "queue_depth")),
-        "in_flight_peak": int(peak(coordinator, "in_flight")),
-        "shards_resident_peak": int(
-            max(
-                peak(coordinator, "shards_resident"),
-                peak(workers, "shards_resident"),
-            )
-        ),
-        "suite_hits": int(
-            max(peak(coordinator, "suite_hits"), peak(workers, "suite_hits"))
-        ),
-        "suite_misses": int(
-            max(
-                peak(coordinator, "suite_misses"),
-                peak(workers, "suite_misses"),
-            )
-        ),
-        "workers": worker_names,
-        "wall_s": finished.get("wall_s") if finished else None,
-    }
-
-
-def render_ledger(entries: list[dict]) -> str:
-    """Human-readable summary of one run ledger."""
-    if not entries:
-        return "ledger: empty"
-    summary = ledger_summary(entries)
-    hits, misses = summary["suite_hits"], summary["suite_misses"]
-    lookups = hits + misses
-    hit_rate = f"{hits / lookups * 100:.1f}%" if lookups else "-"
-    lines = [
-        "run ledger:",
-        f"  coordinator samples     : {summary['samples']}",
-        f"  worker samples          : {summary['worker_samples']}",
-        f"  units finished          : {summary['units_finished']}",
-        f"  peak RSS                : {summary['rss_peak_kb']:,} kB",
-        f"  peak queue depth        : {summary['queue_depth_peak']}",
-        f"  peak units in flight    : {summary['in_flight_peak']}",
-        f"  peak shards resident    : {summary['shards_resident_peak']}",
-        f"  world-suite LRU         : {hits} hits / {misses} misses"
-        f" ({hit_rate})",
-    ]
-    if summary["workers"]:
-        lines.append(
-            f"  workers seen            : {', '.join(summary['workers'])}"
-        )
-    if summary["wall_s"] is not None:
-        lines.append(f"  study wall              : {summary['wall_s']:.1f}s")
-    tail = [e for e in entries if e.get("event") == "ResourceSample"][-5:]
-    if tail:
-        lines.append("  recent samples (t, rss kB, queue, in-flight):")
-        for record in tail:
-            lines.append(
-                f"    {record.get('t', 0):8.2f}s"
-                f"  {record.get('rss_kb', 0):>10,}"
-                f"  {record.get('queue_depth', 0):>5}"
-                f"  {record.get('in_flight', 0):>5}"
-            )
-    return "\n".join(lines)
-
-
-__all__ = [
-    "ResourceSampler",
-    "RunLedger",
-    "ledger_summary",
-    "read_ledger",
-    "render_ledger",
-    "rss_kb",
-]
+__all__ = ["ResourceSampler", "rss_kb"]

@@ -25,8 +25,9 @@ _EXPORTS = {
     "decompose_study": "repro.runtime.units",
     "derive_unit_seed": "repro.runtime.units",
     "EventBus": "repro.runtime.events",
+    "EventLog": "repro.runtime.events",
     "ExecutionStats": "repro.runtime.events",
-    "StatsCollector": "repro.runtime.events",
+    "read_events": "repro.runtime.events",
     "TextProgressRenderer": "repro.runtime.events",
     "CheckpointMismatchError": "repro.runtime.checkpoint",
     "CheckpointStore": "repro.runtime.checkpoint",

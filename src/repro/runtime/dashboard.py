@@ -1,20 +1,27 @@
-"""Live study dashboard: one state machine, three renderers.
+"""The run's numbers: one fold of the event stream, three views.
 
-:class:`DashboardState` is an :class:`~repro.runtime.events.EventBus`
-subscriber that folds the typed event stream — unit lifecycle, resource
-samples, per-unit metrics snapshots — into the numbers an operator
-watches during a long run: per-shard progress, throughput and ETA,
-worker RSS, and the hottest delivery stages by self-time.
+:class:`DashboardState` is the one :class:`~repro.runtime.events.EventBus`
+subscriber that turns the typed event stream into numbers: the
+:class:`~repro.runtime.events.ExecutionStats` counters, per-shard
+progress, throughput and ETA, each worker's latest resource reading,
+resource peaks, and a :class:`~repro.obs.metrics.MetricsRegistry` that
+merges every ``UnitMetrics`` delta and holds the ``runtime.*`` resource
+gauges.  Elapsed time comes from the stream itself —
+``StudyFinished.wall_s``, else the latest ``ResourceSample.elapsed_s`` —
+so a live fold and a replay of the run's
+:class:`~repro.runtime.events.EventLog` report the same rate and ETA.
 
-The same state drives three views:
+The executor folds its own run into one (``StudyExecutor.stats`` and
+``StudyExecutor.metrics`` read it), each served job holds one, and the
+same numbers drive three views:
 
 - ``repro study --dashboard`` — an in-terminal refreshing panel
   (:func:`render_dashboard`), redrawn in place on a TTY and emitted as
   periodic compact lines elsewhere;
-- ``GET /jobs/{id}/top`` — the daemon rebuilds a state by replaying the
-  job's event log (live or persisted) and returns :meth:`DashboardState.top`,
-  so a remote ``repro client top`` shows the numbers a local dashboard
-  would (:func:`render_top` renders the reply);
+- ``GET /jobs/{id}/top`` and ``repro ledger show`` — a running job's
+  live fold, or a finished event log replayed through
+  :func:`state_from_events`, returned as :meth:`DashboardState.top` and
+  rendered by :func:`render_top`;
 - tests — the state is a plain object fed with events, no terminal
   required.
 
@@ -27,14 +34,22 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from typing import Optional, TextIO
 
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime import events as ev
+
+#: ``top()["peaks"]`` key -> the ``runtime.*`` peak gauges it reads.
+_PEAK_GAUGES = {
+    "rss_kb": ("runtime.rss_peak_kb", "runtime.worker_rss_peak_kb"),
+    "queue_depth": ("runtime.queue_depth_peak",),
+    "in_flight": ("runtime.in_flight_peak",),
+    "shards_resident": ("runtime.shards_resident_peak",),
+}
 
 
 class DashboardState:
-    """Fold the event stream into the live numbers the views render.
+    """Fold the event stream into the numbers every view renders.
 
     Thread-safe: the executor's bus dispatches from worker-facing
     threads while a renderer thread reads ``top()`` concurrently.
@@ -42,25 +57,19 @@ class DashboardState:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._t0: Optional[float] = None
-        self.total_units = 0
+        #: Unit counts and per-unit wall times.
+        self.stats = ev.ExecutionStats()
+        #: Every ``UnitMetrics`` delta, plus the ``runtime.*`` gauges.
+        self.registry = MetricsRegistry()
         self.providers = 0
         self.workers = 0
-        self.resumed = 0
-        self.completed = 0
-        self.skipped = 0
-        self.failed = 0
-        self.retried = 0
         self.finished = False
-        self.halted = False
-        self.wall_s: Optional[float] = None
+        self._elapsed_s = 0.0
         # shard -> [started, done]; unit_id -> shard for lookups on finish.
         self._shards: dict[int, list[int]] = {}
         self._unit_shard: dict[str, int] = {}
         # worker name -> latest resource reading (coordinator + workers).
         self._resources: dict[str, dict] = {}
-        # Merged UnitMetrics snapshots (stage/phase series), lazily built.
-        self._registry = None
 
     # ------------------------------------------------------------------
     # Event intake
@@ -70,48 +79,69 @@ class DashboardState:
             self._fold(event)
 
     def _fold(self, event: ev.Event) -> None:
+        stats = self.stats
         if isinstance(event, ev.StudyStarted):
-            self._t0 = time.monotonic()
-            self.total_units = event.total_units
+            stats.total_units = event.total_units
             self.providers = event.providers
             self.workers = event.workers
-            self.resumed = event.resumed_units
         elif isinstance(event, ev.UnitStarted):
             self._unit_shard[event.unit_id] = event.shard
             self._shards.setdefault(event.shard, [0, 0])[0] += 1
         elif isinstance(event, ev.UnitFinished):
-            self.completed += 1
+            stats.completed_units += 1
+            stats.connect_retries += event.connect_retries
+            stats.unit_wall_ms[event.unit_id] = event.wall_ms
             shard = self._unit_shard.get(event.unit_id)
             if shard is not None:
-                self._shards.setdefault(shard, [0, 0])[1] += 1
+                self._shards[shard][1] += 1
         elif isinstance(event, ev.UnitSkipped):
-            self.skipped += 1
+            stats.skipped_units += 1
         elif isinstance(event, ev.UnitFailed):
-            self.failed += 1
+            stats.failed_units += 1
         elif isinstance(event, ev.UnitRetried):
-            self.retried += 1
+            stats.retried_units += 1
         elif isinstance(event, (ev.ResourceSample, ev.WorkerSample)):
-            record = {
-                "rss_kb": event.rss_kb,
-                "shards_resident": event.shards_resident,
-                "suite_hits": event.suite_hits,
-                "suite_misses": event.suite_misses,
-            }
-            if isinstance(event, ev.ResourceSample):
-                record["queue_depth"] = event.queue_depth
-                record["in_flight"] = event.in_flight
-            self._resources[event.worker] = record
+            self._fold_resources(event)
         elif isinstance(event, ev.UnitMetrics):
-            if self._registry is None:
-                from repro.obs.metrics import MetricsRegistry
-
-                self._registry = MetricsRegistry()
-            self._registry.merge(event.snapshot)
+            self.registry.merge(event.snapshot)
         elif isinstance(event, ev.StudyHalted):
-            self.halted = True
+            stats.halted = True
         elif isinstance(event, ev.StudyFinished):
             self.finished = True
-            self.wall_s = event.wall_s
+            stats.wall_s = event.wall_s
+
+    def _fold_resources(
+        self, event: "ev.ResourceSample | ev.WorkerSample"
+    ) -> None:
+        record = {
+            "rss_kb": event.rss_kb,
+            "shards_resident": event.shards_resident,
+            "suite_hits": event.suite_hits,
+            "suite_misses": event.suite_misses,
+        }
+        if isinstance(event, ev.ResourceSample):
+            self._elapsed_s = event.elapsed_s
+            record["queue_depth"] = event.queue_depth
+            record["in_flight"] = event.in_flight
+            # Resource series are wall-clock-like: nondeterministic by
+            # nature, so they live under runtime.* gauges only and never
+            # mix with the deterministic counter/histogram families.
+            for name, value in record.items():
+                self.registry.set_gauge(f"runtime.{name}", value)
+            self._track_peak("runtime.rss_peak_kb", event.rss_kb)
+            self._track_peak("runtime.queue_depth_peak", event.queue_depth)
+            self._track_peak("runtime.in_flight_peak", event.in_flight)
+        else:
+            self._track_peak("runtime.worker_rss_peak_kb", event.rss_kb)
+        self._track_peak(
+            "runtime.shards_resident_peak", event.shards_resident
+        )
+        self._resources[event.worker] = record
+
+    def _track_peak(self, name: str, value: float) -> None:
+        gauge = self.registry.gauge(name)
+        if value > gauge.value:
+            gauge.set(value)
 
     # ------------------------------------------------------------------
     # Derived numbers
@@ -120,22 +150,19 @@ class DashboardState:
         """The dashboard numbers as one JSON-safe dict.
 
         This is the body of ``GET /jobs/{id}/top`` and the input of
-        :func:`render_top` — everything derived (rate, ETA, shares) is
-        computed here so every view agrees.
+        :func:`render_top` — everything derived (rate, ETA, shares,
+        peaks) is computed here so every view agrees.
         """
+        from repro.obs.profile import stage_breakdown
+
         with self._lock:
-            elapsed = (
-                self.wall_s
-                if self.wall_s is not None
-                else (
-                    time.monotonic() - self._t0
-                    if self._t0 is not None
-                    else 0.0
-                )
-            )
-            rate = self.completed / elapsed if elapsed > 0 else None
+            stats = self.stats
+            elapsed = stats.wall_s if self.finished else self._elapsed_s
+            rate = stats.completed_units / elapsed if elapsed > 0 else None
             remaining = max(
-                0, self.total_units - self.skipped - self.completed
+                0,
+                stats.total_units - stats.skipped_units
+                - stats.completed_units,
             )
             eta_s = remaining / rate if rate else None
             shards = [
@@ -146,35 +173,37 @@ class DashboardState:
                 name: dict(record)
                 for name, record in sorted(self._resources.items())
             }
-            stages: list[dict] = []
-            if self._registry is not None:
-                from repro.obs.profile import stage_breakdown
-
-                snapshot = self._registry.snapshot()
-                stages = [
-                    {
-                        "stage": row["stage"],
-                        "calls": row["calls"],
-                        "est_ms": round(row["est_ms"], 3),
-                        "share": round(row["share"], 4),
-                    }
-                    for row in stage_breakdown(snapshot)[:stage_limit]
-                ]
+            snapshot = self.registry.snapshot()
+            gauges = snapshot["gauges"]
+            peaks = {
+                key: max(int(gauges.get(name, 0)) for name in names)
+                for key, names in _PEAK_GAUGES.items()
+            }
+            stages = [
+                {
+                    "stage": row["stage"],
+                    "calls": row["calls"],
+                    "est_ms": round(row["est_ms"], 3),
+                    "share": round(row["share"], 4),
+                }
+                for row in stage_breakdown(snapshot)[:stage_limit]
+            ]
             return {
-                "total_units": self.total_units,
-                "completed": self.completed,
-                "skipped": self.skipped,
-                "failed": self.failed,
-                "retried": self.retried,
+                "total_units": stats.total_units,
+                "completed": stats.completed_units,
+                "skipped": stats.skipped_units,
+                "failed": stats.failed_units,
+                "retried": stats.retried_units,
                 "providers": self.providers,
                 "workers": self.workers,
                 "finished": self.finished,
-                "halted": self.halted,
+                "halted": stats.halted,
                 "elapsed_s": round(elapsed, 3),
                 "units_per_s": round(rate, 3) if rate is not None else None,
                 "eta_s": round(eta_s, 1) if eta_s is not None else None,
                 "shards": shards,
                 "resources": resources,
+                "peaks": peaks,
                 "stages": stages,
             }
 
@@ -224,6 +253,14 @@ def render_top(top: dict) -> str:
                 f" {record.get('suite_hits', 0):>6d}/"
                 f"{record.get('suite_misses', 0)}"
             )
+    peaks = top.get("peaks")
+    if peaks and any(peaks.values()):
+        lines.append(
+            f"peaks    : rss {peaks['rss_kb']:,} kB  "
+            f"queue {peaks['queue_depth']}  "
+            f"in flight {peaks['in_flight']}  "
+            f"shards resident {peaks['shards_resident']}"
+        )
     if top["stages"]:
         lines.append("stages   :  (self-time share of delivery)")
         for row in top["stages"]:
@@ -326,9 +363,10 @@ class Dashboard:
 def state_from_events(events: list[dict]) -> DashboardState:
     """Rebuild a dashboard state from wire-form event dicts.
 
-    The daemon's ``top`` endpoint replays a job's event log (live or
-    persisted) through this, so the remote view derives from exactly the
-    frames the watch stream carries.
+    ``GET /jobs/{id}/top`` of a finished job and ``repro ledger show``
+    replay an event log file (:func:`~repro.runtime.events.read_events`)
+    through this, so they derive their numbers from exactly the frames
+    the watch stream carries, with the clock the live fold had.
     """
     state = DashboardState()
     for data in events:

@@ -4,13 +4,18 @@ The executor publishes typed events onto an :class:`EventBus` as units move
 through their lifecycle — started (dispatched to the pool), finished,
 retried, failed, skipped (checkpoint hits) — with per-unit wall time and
 the remaining queue depth.  Subscribers are plain callables; two are
-provided:
+provided here:
 
 - :class:`TextProgressRenderer` — one line per event to a stream, the CLI's
   ``--progress`` view;
-- :class:`StatsCollector` — aggregates counts and wall times into an
-  :class:`ExecutionStats` the executor exposes after the run (and perfbench
-  reads for its unit counts).
+- :class:`EventLog` — the run's event stream in its wire form, appended
+  to a JSON Lines file as each event is published: ``repro study
+  --ledger`` and every served job's ``events.jsonl`` write through one,
+  and :func:`read_events` reads either back.
+
+The one fold that turns the stream into numbers (counts, rate, ETA,
+resource peaks, the merged metrics registry) is
+:class:`repro.runtime.dashboard.DashboardState`.
 
 Handler exceptions are swallowed (a broken renderer must not kill a
 two-hour study); the bus keeps the first error for inspection.
@@ -18,7 +23,11 @@ two-hour study); the bus keeps the first error for inspection.
 
 from __future__ import annotations
 
+import json
+import pathlib
 import threading
+import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TextIO
@@ -267,6 +276,109 @@ class EventBus:
 
 
 # ----------------------------------------------------------------------
+# The event log
+# ----------------------------------------------------------------------
+class EventLog:
+    """The run's event stream, appended to a JSON Lines file as published.
+
+    A record is the wire form: :func:`event_to_dict` plus a ``seq``
+    cursor counting from 0, written as one ``json.dumps(...,
+    sort_keys=True)`` line and flushed before the next event is taken.
+    Memory holds only each record's byte offset.  Clients long-poll with
+    a cursor — ``read(since, wait_s)`` blocks until records past
+    ``since`` exist or the log closes — and every read comes from the
+    file, so a live reader and a replay of the finished file see the
+    same bytes.  Untyped (ad-hoc) events are not recorded.
+    """
+
+    def __init__(self, path: str | pathlib.Path) -> None:
+        self.path = pathlib.Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = self.path.open("wb")
+        self._offsets = array("q")
+        self._size = 0
+        self._closed = False
+        self._lock = threading.Condition()
+
+    # -- bus side ------------------------------------------------------
+    def __call__(self, event: Event) -> None:
+        record = event_to_dict(event)
+        if record is None:
+            return
+        with self._lock:
+            if self._closed:
+                return
+            record["seq"] = len(self._offsets)
+            line = (json.dumps(record, sort_keys=True) + "\n").encode()
+            self._handle.write(line)
+            self._handle.flush()
+            self._offsets.append(self._size)
+            self._size += len(line)
+            self._lock.notify_all()
+
+    def close(self) -> None:
+        """Complete the file: no more records; wake every blocked reader."""
+        with self._lock:
+            if not self._closed:
+                self._closed = True
+                self._handle.close()
+            self._lock.notify_all()
+
+    @property
+    def size(self) -> int:
+        """Bytes written to the file so far."""
+        return self._size
+
+    # -- reader side ---------------------------------------------------
+    def read(
+        self, since: int = 0, wait_s: float = 0.0
+    ) -> tuple[list[dict], bool]:
+        """Records with ``seq >= since`` and whether the log is closed.
+
+        Blocks up to *wait_s* seconds while no such record exists and the
+        log is still open (the long-poll).  An empty result with
+        ``closed=True`` tells the client the stream is over.
+        """
+        deadline = time.monotonic() + wait_s
+        with self._lock:
+            while len(self._offsets) <= since and not self._closed:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not self._lock.wait(timeout=remaining):
+                    break
+            if since >= len(self._offsets):
+                return [], self._closed
+            start, end, closed = self._offsets[since], self._size, self._closed
+        # Every byte before `end` was flushed under the lock; records
+        # appended since land past it.
+        with self.path.open("rb") as handle:
+            handle.seek(start)
+            data = handle.read(end - start)
+        return _parse_records(data.splitlines()), closed
+
+
+def read_events(path: str | pathlib.Path) -> list[dict]:
+    """Every record of an :class:`EventLog` file, in order.
+
+    Stops at a torn last line, which a run killed mid-write leaves, and
+    skips a line that is not a JSON object.
+    """
+    with open(path, "rb") as handle:
+        return _parse_records(handle)
+
+
+def _parse_records(lines) -> list[dict]:
+    records = []
+    for line in lines:
+        try:
+            record = json.loads(line)
+        except ValueError:
+            break
+        if isinstance(record, dict):
+            records.append(record)
+    return records
+
+
+# ----------------------------------------------------------------------
 # Subscribers
 # ----------------------------------------------------------------------
 @dataclass
@@ -304,81 +416,6 @@ class ExecutionStats:
             f"{self.connect_retries} endpoint reconnects, "
             f"{self.wall_s:.1f}s wall"
         )
-
-
-class StatsCollector:
-    """EventBus subscriber that fills an :class:`ExecutionStats`."""
-
-    def __init__(self) -> None:
-        self.stats = ExecutionStats()
-
-    def __call__(self, event: Event) -> None:
-        stats = self.stats
-        if isinstance(event, StudyStarted):
-            stats.total_units = event.total_units
-        elif isinstance(event, UnitFinished):
-            stats.completed_units += 1
-            stats.connect_retries += event.connect_retries
-            stats.unit_wall_ms[event.unit_id] = event.wall_ms
-        elif isinstance(event, UnitSkipped):
-            stats.skipped_units += 1
-        elif isinstance(event, UnitRetried):
-            stats.retried_units += 1
-        elif isinstance(event, UnitFailed):
-            stats.failed_units += 1
-        elif isinstance(event, StudyHalted):
-            stats.halted = True
-        elif isinstance(event, StudyFinished):
-            stats.wall_s = event.wall_s
-
-
-class MetricsAggregator:
-    """EventBus subscriber folding :class:`UnitMetrics` into one registry.
-
-    Obs metrics flow through the same bus as progress events rather than a
-    side channel, so any subscriber — the executor's own aggregate, a CLI
-    renderer, a test — sees the identical stream; combined with replay, an
-    aggregator attached mid-study still converges on the same totals
-    (snapshot merging is commutative).
-    """
-
-    def __init__(self, registry=None) -> None:
-        if registry is None:
-            from repro.obs.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
-        self.registry = registry
-
-    def __call__(self, event: Event) -> None:
-        if isinstance(event, UnitMetrics):
-            self.registry.merge(event.snapshot)
-        elif isinstance(event, ResourceSample):
-            # Resource series are wall-clock-like: nondeterministic by
-            # nature, so they live under runtime.* gauges only and never
-            # mix with the deterministic counter/histogram families.
-            registry = self.registry
-            registry.set_gauge("runtime.rss_kb", event.rss_kb)
-            self._track_peak("runtime.rss_peak_kb", event.rss_kb)
-            registry.set_gauge("runtime.queue_depth", event.queue_depth)
-            registry.set_gauge("runtime.in_flight", event.in_flight)
-            registry.set_gauge(
-                "runtime.shards_resident", event.shards_resident
-            )
-            self._track_peak(
-                "runtime.shards_resident_peak", event.shards_resident
-            )
-            registry.set_gauge("runtime.suite_hits", event.suite_hits)
-            registry.set_gauge("runtime.suite_misses", event.suite_misses)
-        elif isinstance(event, WorkerSample):
-            self._track_peak("runtime.worker_rss_peak_kb", event.rss_kb)
-            self._track_peak(
-                "runtime.shards_resident_peak", event.shards_resident
-            )
-
-    def _track_peak(self, name: str, value: float) -> None:
-        gauge = self.registry.gauge(name)
-        if value > gauge.value:
-            gauge.set(value)
 
 
 class TextProgressRenderer:

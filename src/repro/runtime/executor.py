@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.harness import TestSuite
 from repro.runtime import events as ev
 from repro.runtime.checkpoint import CheckpointStore, CompletedUnit
+from repro.runtime.dashboard import DashboardState
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.units import AuditUnit, StudyPlan
 from repro.source import StudySource
@@ -515,7 +516,6 @@ class StudyExecutor:
         pool: Optional[concurrent.futures.Executor] = None,
         source: Optional[StudySource] = None,
         shards: int = 1,
-        ledger_path: Optional[str | pathlib.Path] = None,
         sample_interval_s: Optional[float] = None,
     ) -> None:
         if workers < 1:
@@ -553,25 +553,14 @@ class StudyExecutor:
         self.stop_event = stop_event
         self.pool = pool
         self.obs_config = obs if obs is not None and obs.enabled else None
-        # Internal collectors see only this executor's run: a shared bus
-        # (the longitudinal scheduler reuses one across snapshots) must
-        # not replay a previous executor's events into them.
-        self._stats_collector = ev.StatsCollector()
-        self.bus.subscribe(self._stats_collector, replay=False)
-        self._metrics_aggregator: Optional[ev.MetricsAggregator] = None
-        if self.obs_config is not None and self.obs_config.metrics_enabled:
-            self._metrics_aggregator = ev.MetricsAggregator()
-            self.bus.subscribe(self._metrics_aggregator, replay=False)
+        self._fold = DashboardState()
         self._obs_payloads: dict[str, dict] = {}
         self.trace_records: Optional[list[dict]] = None
         self.plan: Optional[StudyPlan] = None
-        # Runtime telemetry: a background ResourceSampler ticks while
-        # either is set, and a RunLedger persists the stream as JSONL.
-        self.ledger_path = ledger_path
+        # Runtime telemetry: a background ResourceSampler ticks at this
+        # cadence, and workers' resource readings are published, when set.
         self.sample_interval_s = sample_interval_s
-        self._telemetry_on = (
-            ledger_path is not None or sample_interval_s is not None
-        )
+        self._sampler = None
         # Live dispatch-state counters the sampler probe reads; plain int
         # stores under the GIL, no lock needed for a telemetry read.
         self._live = {"queue_depth": 0, "in_flight": 0}
@@ -602,14 +591,14 @@ class StudyExecutor:
 
     @property
     def stats(self) -> ev.ExecutionStats:
-        return self._stats_collector.stats
+        return self._fold.stats
 
     @property
     def metrics(self) -> Optional["MetricsRegistry"]:
         """The merged study-wide registry (None unless metrics enabled)."""
-        if self._metrics_aggregator is None:
+        if self.obs_config is None or not self.obs_config.metrics_enabled:
             return None
-        return self._metrics_aggregator.registry
+        return self._fold.registry
 
     @property
     def flight_dumps(self) -> list[dict]:
@@ -631,7 +620,7 @@ class StudyExecutor:
         }
 
     # ------------------------------------------------------------------
-    # Runtime telemetry: sampler + ledger lifecycle
+    # Runtime telemetry: the resource sampler's lifecycle
     # ------------------------------------------------------------------
     def _resource_probe(self, elapsed_s: float) -> ev.ResourceSample:
         """One coordinator resource reading (called from the sampler)."""
@@ -648,53 +637,33 @@ class StudyExecutor:
             suite_misses=getattr(cache, "misses", 0),
         )
 
-    def _start_telemetry(self):
-        """Start the resource sampler (and ledger) when requested.
+    def _start_sampler(self) -> None:
+        """Start the resource sampler when a cadence is set.
 
-        Returns an opaque handle for :meth:`_stop_telemetry`; None when
-        telemetry is off — the zero-overhead default.
+        Off by default: the zero-overhead path starts no thread.
         """
-        if not self._telemetry_on:
-            return None
-        from repro.obs.sample import ResourceSampler, RunLedger
+        if self.sample_interval_s is None:
+            return
+        from repro.obs.sample import ResourceSampler
 
-        ledger = (
-            RunLedger(self.ledger_path, bus=self.bus)
-            if self.ledger_path is not None
-            else None
-        )
-        sampler = ResourceSampler(
+        self._sampler = ResourceSampler(
             bus=self.bus,
             probe=self._resource_probe,
-            interval_s=self.sample_interval_s or 0.5,
+            interval_s=self.sample_interval_s,
         )
-        sampler.start()
-        handle = [sampler, ledger]
-        self._telemetry_handle = handle
-        return handle
+        self._sampler.start()
 
     def _stop_sampler(self) -> None:
         """Stop the ticker ahead of the terminal bus event.
 
-        Stop emits one final sample so even sub-interval runs ledger at
+        Stop emits one final sample so even sub-interval runs log at
         least one reading; calling this *before* StudyFinished/StudyHalted
         publishes keeps the terminal event last on the bus — consumers
         (the serve event stream, watch) rely on that ordering.
         """
-        handle = getattr(self, "_telemetry_handle", None)
-        if not handle or handle[0] is None:
-            return
-        handle[0].stop()
-        handle[0] = None
-
-    def _stop_telemetry(self, handle) -> None:
-        if handle is None:
-            return
-        self._stop_sampler()
-        # The ledger closes after the terminal event so it records wall_s.
-        if handle[1] is not None:
-            handle[1].close()
-        self._telemetry_handle = None
+        sampler, self._sampler = self._sampler, None
+        if sampler is not None:
+            sampler.stop()
 
     def _shard_suite(self, shard: int) -> TestSuite:
         """The coordinator's suite for one shard (small LRU)."""
@@ -766,7 +735,11 @@ class StudyExecutor:
 
     def _execute(self, sink: "_ResultSink") -> "StudyReport | StreamedStudy":
         """Plan, replay the journal, dispatch, assemble into *sink*."""
-        telemetry = self._start_telemetry()
+        # The fold sees only this run: a shared bus (the longitudinal
+        # scheduler reuses one across snapshots) must neither replay
+        # earlier runs into it nor feed it later ones.
+        self.bus.subscribe(self._fold, replay=False)
+        self._start_sampler()
         try:
             started = time.perf_counter()
             suite = self._shard_suite(0)
@@ -828,7 +801,8 @@ class StudyExecutor:
             )
             return result
         finally:
-            self._stop_telemetry(telemetry)
+            self._stop_sampler()
+            self.bus.unsubscribe(self._fold)
 
     def _assemble(self, plan: StudyPlan, sink: "_ResultSink") -> None:
         """Assemble every provider into *sink*, in plan order.
@@ -1036,7 +1010,7 @@ class StudyExecutor:
                 self.bus.publish(
                     ev.UnitMetrics(unit_id=unit.unit_id, snapshot=snapshot)
                 )
-        if resources and self._telemetry_on:
+        if resources and self.sample_interval_s is not None:
             self.bus.publish(
                 ev.WorkerSample(unit_id=unit.unit_id, **resources)
             )
@@ -1084,8 +1058,8 @@ class StudyExecutor:
                         sink.write(record)
                 finally:
                     sink.close()
-        if self._metrics_aggregator is not None:
-            snapshot = self._metrics_aggregator.registry.snapshot()
+        if self.metrics is not None:
+            snapshot = self.metrics.snapshot()
             self.bus.publish(ev.StudyMetrics(snapshot=snapshot))
             if self.obs_config.metrics_path:
                 import json

@@ -41,7 +41,6 @@ _EXPORTS = {
     "JobStatusReply": ("repro.serve.protocol", "JobStatusReply"),
     "TraceQueryReply": ("repro.serve.protocol", "TraceQueryReply"),
     "EventsReply": ("repro.serve.protocol", "EventsReply"),
-    "JobEventLog": ("repro.serve.stream", "JobEventLog"),
 }
 
 __all__ = sorted(_EXPORTS)

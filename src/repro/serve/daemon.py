@@ -216,21 +216,19 @@ class AuditDaemon:
     def top(self, job_id: str) -> dict:
         """The job's dashboard numbers (``GET /jobs/{id}/top``).
 
-        Rebuilt by replaying the job's event log — the live in-memory
-        log while it runs, the persisted ``events.jsonl`` afterwards —
-        through the same :class:`~repro.runtime.dashboard.DashboardState`
-        a local ``--dashboard`` uses, so the remote view and the local
-        panel derive identical numbers from identical frames.
+        A running job answers from its live
+        :class:`~repro.runtime.dashboard.DashboardState`; a finished one
+        replays its ``events.jsonl`` through the same fold.  The fold's
+        clock is read from the stream, so both give the numbers a local
+        ``--dashboard`` and ``repro ledger show`` of the same events give.
         """
         from repro.runtime.dashboard import state_from_events
 
         self.queue.get(job_id)  # raises UnknownJobError first
-        log = self.scheduler.event_log(job_id)
-        events = (
-            log.records() if log is not None
-            else self.store.load_events(job_id)
-        )
-        payload = state_from_events(events).top()
+        fold = self.scheduler.fold(job_id)
+        if fold is None:
+            fold = state_from_events(self.store.load_events(job_id))
+        payload = fold.top()
         payload["job_id"] = job_id
         return payload
 

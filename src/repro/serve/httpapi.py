@@ -208,6 +208,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
         try:
             since = int((query.get("since") or ["0"])[0])
             wait_s = float((query.get("wait") or ["0"])[0])
+            if since < 0:
+                raise ValueError(since)
         except ValueError:
             self._error(
                 400, "bad_query",

@@ -22,8 +22,13 @@ Each job also gets:
   graceful daemon drain — setting it makes the executor finish in-flight
   units, flush the checkpoint, and raise
   :class:`~repro.runtime.executor.StudyInterrupted`;
-- a **private EventBus** with a :class:`~repro.runtime.events.StatsCollector`,
-  which is where ``GET /jobs/{id}`` progress numbers come from.
+- a **private EventBus** with two subscribers: a
+  :class:`~repro.runtime.dashboard.DashboardState`, the fold that
+  ``GET /jobs/{id}`` progress, ``GET /jobs/{id}/top`` and the job's
+  share of ``GET /metrics`` read while it runs, and an
+  :class:`~repro.runtime.events.EventLog` writing the job's
+  ``events.jsonl`` from its first event, which ``GET /jobs/{id}/events``
+  reads.
 
 On drain (SIGTERM) interrupted jobs go back to ``queued`` — the state a
 restarted daemon re-dispatches from — while an explicit cancellation
@@ -41,11 +46,11 @@ from typing import Optional
 from repro.config import ServeConfig
 from repro.runtime import events as ev
 from repro.runtime.checkpoint import CheckpointMismatchError
+from repro.runtime.dashboard import DashboardState
 from repro.runtime.executor import StudyExecutor, StudyInterrupted
 from repro.serve.jobs import JobQueue
 from repro.serve.protocol import JobKind, JobRecord, JobState
 from repro.serve.store import ResultStore
-from repro.serve.stream import JobEventLog
 
 
 class JobScheduler:
@@ -69,9 +74,8 @@ class JobScheduler:
         self._dispatcher: Optional[threading.Thread] = None
         self._runners: dict[str, threading.Thread] = {}
         self._stop_events: dict[str, threading.Event] = {}
-        self._stats: dict[str, ev.StatsCollector] = {}
-        self._event_logs: dict[str, JobEventLog] = {}
-        self._aggregators: dict[str, ev.MetricsAggregator] = {}
+        self._folds: dict[str, DashboardState] = {}
+        self._event_logs: dict[str, ev.EventLog] = {}
         self._cancelled: set[str] = set()
         self._active = threading.Semaphore(config.max_active_jobs)
         self._shutdown = threading.Event()
@@ -137,13 +141,15 @@ class JobScheduler:
     # ------------------------------------------------------------------
     def progress(self, job_id: str) -> dict:
         """Live counters for a running job; {} when none are tracked."""
-        with self._lock:
-            collector = self._stats.get(job_id)
-        if collector is None:
-            return {}
-        return _progress_dict(collector.stats)
+        fold = self.fold(job_id)
+        return _progress_dict(fold.stats) if fold is not None else {}
 
-    def event_log(self, job_id: str) -> Optional[JobEventLog]:
+    def fold(self, job_id: str) -> Optional[DashboardState]:
+        """The live fold of a running job, or None once resolved."""
+        with self._lock:
+            return self._folds.get(job_id)
+
+    def event_log(self, job_id: str) -> Optional[ev.EventLog]:
         """The live event log of a running job, or None once resolved."""
         with self._lock:
             return self._event_logs.get(job_id)
@@ -151,14 +157,14 @@ class JobScheduler:
     def metrics_snapshots(self) -> list[dict]:
         """Per-job obs metrics snapshots of every running job.
 
-        Each running job's :class:`~repro.runtime.events.MetricsAggregator`
-        folds the unit deltas flowing over its bus; snapshot merging is
-        commutative, so ``GET /metrics`` can merge these into the daemon
-        registry at scrape time without perturbing the jobs.
+        Each running job's fold merges the unit deltas flowing over its
+        bus; snapshot merging is commutative, so ``GET /metrics`` can
+        merge these into the daemon registry at scrape time without
+        perturbing the jobs.
         """
         with self._lock:
-            aggregators = list(self._aggregators.values())
-        return [agg.registry.snapshot() for agg in aggregators]
+            folds = list(self._folds.values())
+        return [fold.registry.snapshot() for fold in folds]
 
     # ------------------------------------------------------------------
     # Internals
@@ -189,20 +195,17 @@ class JobScheduler:
     def _run_job(self, record: JobRecord) -> None:
         stop_event = threading.Event()
         bus = ev.EventBus()
-        collector = ev.StatsCollector()
-        bus.subscribe(collector, replay=False)
+        fold = DashboardState()
+        bus.subscribe(fold, replay=False)
         # Subscribed before the executor starts, so the log holds the
         # complete stream and /jobs/{id}/events never joins blind.
-        event_log = JobEventLog()
+        event_log = self.store.open_events(record.job_id)
         bus.subscribe(event_log, replay=False)
-        aggregator = ev.MetricsAggregator()
-        bus.subscribe(aggregator, replay=False)
         started = time.monotonic()
         with self._lock:
             self._stop_events[record.job_id] = stop_event
-            self._stats[record.job_id] = collector
+            self._folds[record.job_id] = fold
             self._event_logs[record.job_id] = event_log
-            self._aggregators[record.job_id] = aggregator
             cancelled = record.job_id in self._cancelled
         if cancelled or self._shutdown.is_set():
             stop_event.set()
@@ -212,7 +215,7 @@ class JobScheduler:
             else:
                 self._run_study(record, bus, stop_event, started)
         except StudyInterrupted:
-            progress = _progress_dict(collector.stats)
+            progress = _progress_dict(fold.stats)
             if record.job_id in self._cancelled:
                 self._resolve(
                     record.job_id, started, JobState.CANCELLED,
@@ -234,17 +237,16 @@ class JobScheduler:
                 record.job_id, started, JobState.FAILED, error=repr(exc)
             )
         finally:
-            # Close wakes blocked /events readers; persist before
-            # dropping the live log so the stream replays from disk with
-            # no gap (the record went terminal before this point, and
-            # every event was published before the record resolved).
-            event_log.close()
-            self.store.save_events(record.job_id, event_log.records())
+            # Close completes the file and wakes blocked /events readers
+            # before the live log is dropped, so the stream replays from
+            # disk with no gap (the record went terminal before this
+            # point, and every event was published before it resolved).
+            self.store.close_events(event_log)
             with self._lock:
                 self._stop_events.pop(record.job_id, None)
                 self._runners.pop(record.job_id, None)
+                self._folds.pop(record.job_id, None)
                 self._event_logs.pop(record.job_id, None)
-                self._aggregators.pop(record.job_id, None)
                 self._cancelled.discard(record.job_id)
             self._active.release()
             # The job's worlds are reference cycles, and other jobs'
@@ -290,9 +292,9 @@ class JobScheduler:
             checkpoint_dir=str(self.store.archive_dir(record.job_id)),
             stop_event=stop_event,
             pool=self.pool,
-            # Resource telemetry rides the job bus (and thus the event
-            # log), which is what /jobs/{id}/top reads its RSS/queue
-            # numbers from.  A side channel: results stay byte-identical.
+            # Resource telemetry rides the job bus into its fold and event
+            # log, which is where /jobs/{id}/top reads its RSS/queue
+            # numbers.  A side channel: results stay byte-identical.
             sample_interval_s=self.config.sample_interval_s,
         )
         report = executor.run()
@@ -305,7 +307,7 @@ class JobScheduler:
                 metrics.snapshot() if metrics is not None else None
             ),
         )
-        progress = _progress_dict(self._collector_stats(record.job_id))
+        progress = self.progress(record.job_id)
         progress["archive_fingerprint"] = fingerprint
         resolved = self._resolve(
             record.job_id, started, JobState.COMPLETED, progress=progress
@@ -335,7 +337,7 @@ class JobScheduler:
             pool=self.pool,
         ).run()
         self.store.store_longitudinal_result(record, report)
-        progress = _progress_dict(self._collector_stats(record.job_id))
+        progress = self.progress(record.job_id)
         progress["snapshots_completed"] = len(report.snapshots)
         if report.interrupted:
             # The series stopped early; its completed prefix is stored,
@@ -348,11 +350,6 @@ class JobScheduler:
             record.job_id, started, JobState.COMPLETED, progress=progress
         )
         self._maybe_prune(resolved)
-
-    def _collector_stats(self, job_id: str) -> ev.ExecutionStats:
-        with self._lock:
-            collector = self._stats.get(job_id)
-        return collector.stats if collector is not None else ev.ExecutionStats()
 
     def _maybe_prune(self, record: JobRecord) -> None:
         if self.config.keep_checkpoints:

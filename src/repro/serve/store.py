@@ -16,6 +16,8 @@ memory:
         metrics.json                  # merged MetricsRegistry snapshot
         trace.jsonl                   # span trace (when the job traced)
         fingerprint.json              # archive_fingerprint(archive/)
+        events.jsonl                  # the job's event log, written as
+                                      # each event is published
 
 ``job.json`` is rewritten on every state transition (the queue's
 ``on_change`` hook), so a killed daemon recovers its whole queue by
@@ -33,6 +35,7 @@ import shutil
 from typing import TYPE_CHECKING, Optional
 
 from repro.codec import to_jsonable
+from repro.runtime.events import EventLog, read_events
 from repro.serve.protocol import (
     JobRecord,
     JobRequest,
@@ -204,36 +207,24 @@ class ResultStore:
         return path if path.exists() else None
 
     # ------------------------------------------------------------------
-    # Event logs (the durable side of GET /jobs/{id}/events)
+    # Event logs (GET /jobs/{id}/events and /top)
     # ------------------------------------------------------------------
-    def save_events(self, job_id: str, records: list[dict]) -> None:
-        """Persist a job's full event log as ``events.jsonl``.
+    def open_events(self, job_id: str) -> EventLog:
+        """A fresh event log writing the job's ``events.jsonl``."""
+        return EventLog(self.job_dir(job_id) / _EVENTS)
 
-        Written at job resolution so a terminal job's stream replays
-        byte-identically from disk after the daemon restarts.
-        """
-        directory = self.job_dir(job_id)
-        directory.mkdir(parents=True, exist_ok=True)
-        body = "".join(
-            json.dumps(record, sort_keys=True) + "\n" for record in records
-        )
-        (directory / _EVENTS).write_text(body)
-        self._account(len(body.encode()))
+    def close_events(self, log: EventLog) -> None:
+        """Complete a job's ``events.jsonl``, counted as one store write."""
+        log.close()
+        self._account(log.size)
 
     def load_events(self, job_id: str) -> list[dict]:
-        """The persisted event log, in order; [] when none was stored."""
+        """The job's event log, in order; [] when none was written.
+
+        A torn last line (a daemon killed mid-write) ends the log.
+        """
         path = self.job_dir(job_id) / _EVENTS
-        if not path.exists():
-            return []
-        records = []
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break  # truncated tail from a mid-write kill
-        return records
+        return read_events(path) if path.exists() else []
 
     # ------------------------------------------------------------------
     # Garbage collection

@@ -1,11 +1,12 @@
-"""Runtime telemetry: the run ledger, the dashboard, and the serve top view.
+"""Runtime telemetry: the event log, the fold, and the serve top view.
 
 The binding constraint everywhere: telemetry is a side channel.  The
-golden-fingerprint test pins that a run with the ledger, the dashboard
-and the resource sampler all attached archives byte-identical output;
-the rest checks that the ledger records what it claims and that all
-three views (local panel, ``repro ledger show``, ``GET /jobs/{id}/top``)
-derive their numbers from the same event stream.
+golden-fingerprint test pins that a run with the ledger (an
+``EventLog``), the dashboard and the resource sampler all attached
+archives byte-identical output; the rest checks that the log records
+what it claims and that all three views (local panel, ``repro ledger
+show``, ``GET /jobs/{id}/top``) derive their numbers from the same event
+stream through the same fold.
 """
 
 import io
@@ -27,79 +28,83 @@ def _events():
 
 
 # ----------------------------------------------------------------------
-# RunLedger
+# The event log as a ledger
 # ----------------------------------------------------------------------
 class TestRunLedger:
-    def test_records_telemetry_events_and_skips_noise(self, tmp_path):
-        from repro.obs.sample import RunLedger, read_ledger
+    def test_records_every_typed_event_with_seq(self, tmp_path):
         from repro.runtime import events as ev
 
         bus = ev.EventBus()
-        ledger = RunLedger(tmp_path / "ledger.jsonl", bus)
-        bus.publish(ev.StudyStarted(
-            total_units=2, providers=1, vantage_points=2, workers=1,
-        ))
-        bus.publish(ev.UnitFinished(
-            unit_id="u1", wall_ms=5.0, vantage_points=1, queue_depth=1,
-        ))
-        bus.publish(ev.ResourceSample(elapsed_s=0.1, rss_kb=1000))
-        bus.publish(ev.WorkerSample(unit_id="u1", worker="w0", rss_kb=900))
-        bus.publish(ev.UnitMetrics(unit_id="u1", snapshot={}))  # noise
-        bus.publish(ev.StudyFinished(
-            wall_s=1.0, completed=2, skipped=0, failed=0, retried=0,
-        ))
+        ledger = ev.EventLog(tmp_path / "ledger.jsonl")
+        bus.subscribe(ledger)
+        published = [
+            ev.StudyStarted(
+                total_units=2, providers=1, vantage_points=2, workers=1,
+            ),
+            ev.UnitFinished(
+                unit_id="u1", wall_ms=5.0, vantage_points=1, queue_depth=1,
+            ),
+            ev.ResourceSample(elapsed_s=0.1, rss_kb=1000),
+            ev.WorkerSample(unit_id="u1", worker="w0", rss_kb=900),
+            ev.UnitMetrics(unit_id="u1", snapshot={}),
+            ev.StudyFinished(
+                wall_s=1.0, completed=2, skipped=0, failed=0, retried=0,
+            ),
+        ]
+        for event in published:
+            bus.publish(event)
+        bus.publish("untyped")  # no wire form: not recorded
         ledger.close()
 
-        entries = read_ledger(tmp_path / "ledger.jsonl")
-        assert [e["event"] for e in entries] == [
-            "StudyStarted",
-            "UnitFinished",
-            "ResourceSample",
-            "WorkerSample",
-            "StudyFinished",
+        entries = ev.read_events(tmp_path / "ledger.jsonl")
+        assert entries == [
+            {**ev.event_to_dict(event), "seq": seq}
+            for seq, event in enumerate(published)
         ]
-        assert all("t" in e for e in entries)
 
     def test_read_ledger_skips_torn_tail(self, tmp_path):
-        from repro.obs.sample import read_ledger
+        from repro.runtime.events import read_events
 
         path = tmp_path / "ledger.jsonl"
         path.write_text(
-            '{"event":"ResourceSample","rss_kb":1,"t":0.1}\n'
+            '{"event":"ResourceSample","rss_kb":1,"seq":0}\n'
             '{"event":"ResourceSa'  # killed mid-write
         )
-        entries = read_ledger(path)
+        entries = read_events(path)
         assert len(entries) == 1
 
     def test_summary_peaks_and_render(self):
-        from repro.obs.sample import ledger_summary, render_ledger
+        from repro.runtime.dashboard import render_top, state_from_events
 
         entries = [
-            {"event": "StudyStarted", "t": 0.0},
-            {"event": "ResourceSample", "t": 0.1, "rss_kb": 100,
+            {"event": "StudyStarted", "total_units": 1, "providers": 1,
+             "vantage_points": 1, "workers": 1},
+            {"event": "ResourceSample", "elapsed_s": 0.1, "rss_kb": 100,
              "queue_depth": 4, "in_flight": 2, "shards_resident": 1,
              "suite_hits": 0, "suite_misses": 1},
-            {"event": "ResourceSample", "t": 0.2, "rss_kb": 300,
+            {"event": "ResourceSample", "elapsed_s": 0.2, "rss_kb": 300,
              "queue_depth": 1, "in_flight": 1, "shards_resident": 2,
              "suite_hits": 3, "suite_misses": 2},
-            {"event": "WorkerSample", "t": 0.2, "worker": "w0",
+            {"event": "WorkerSample", "unit_id": "u1", "worker": "w0",
              "rss_kb": 500, "shards_resident": 3},
-            {"event": "UnitFinished", "t": 0.3, "unit_id": "u1"},
-            {"event": "StudyFinished", "t": 0.4, "wall_s": 0.4},
+            {"event": "UnitFinished", "unit_id": "u1", "wall_ms": 1.0,
+             "vantage_points": 1, "queue_depth": 0},
+            {"event": "StudyFinished", "wall_s": 0.4, "completed": 1,
+             "skipped": 0, "failed": 0, "retried": 0},
         ]
-        summary = ledger_summary(entries)
-        assert summary["samples"] == 2
-        assert summary["worker_samples"] == 1
-        assert summary["units_finished"] == 1
-        assert summary["rss_peak_kb"] == 500
-        assert summary["queue_depth_peak"] == 4
-        assert summary["in_flight_peak"] == 2
-        assert summary["shards_resident_peak"] == 3
-        assert summary["suite_hits"] == 3
-        assert summary["workers"] == ["w0"]
-        rendered = render_ledger(entries)
-        assert "peak shards resident    : 3" in rendered
-        assert "workers seen" in rendered
+        top = state_from_events(entries).top()
+        assert top["completed"] == 1
+        assert top["peaks"] == {
+            "rss_kb": 500,
+            "queue_depth": 4,
+            "in_flight": 2,
+            "shards_resident": 3,
+        }
+        assert top["resources"]["coordinator"]["suite_hits"] == 3
+        assert set(top["resources"]) == {"coordinator", "w0"}
+        rendered = render_top(top)
+        assert "shards resident 3" in rendered
+        assert "  w0 " in rendered
 
     def test_resource_sampler_emits_final_sample_on_stop(self):
         from repro.obs.sample import ResourceSampler
@@ -198,6 +203,33 @@ class TestDashboardState:
         assert top["stages"][0]["stage"] == "route"
         assert top["stages"][0]["est_ms"] == pytest.approx(3.0)
 
+    def test_registry_carries_runtime_gauges_and_peaks(self):
+        """The gauges a served job's share of ``/metrics`` exports."""
+        ev = _events()
+        state = self._fed_state()
+        state(ev.ResourceSample(
+            elapsed_s=1.0, rss_kb=1800, queue_depth=3, in_flight=2,
+            shards_resident=1, suite_hits=4, suite_misses=2,
+        ))
+        gauges = state.registry.snapshot()["gauges"]
+        assert gauges == {
+            "runtime.rss_kb": 1800,
+            "runtime.rss_peak_kb": 2000,
+            "runtime.worker_rss_peak_kb": 1500,
+            "runtime.queue_depth": 3,
+            "runtime.queue_depth_peak": 3,
+            "runtime.in_flight": 2,
+            "runtime.in_flight_peak": 2,
+            "runtime.shards_resident": 1,
+            "runtime.shards_resident_peak": 2,
+            "runtime.suite_hits": 4,
+            "runtime.suite_misses": 2,
+        }
+        assert state.top()["peaks"] == {
+            "rss_kb": 2000, "queue_depth": 3, "in_flight": 2,
+            "shards_resident": 2,
+        }
+
     def test_render_top_and_dashboard_frames(self):
         from repro.runtime.dashboard import render_dashboard, render_top
 
@@ -208,6 +240,32 @@ class TestDashboardState:
         assert "w0" in text
         frame = render_dashboard(state)
         assert "repro study dashboard" in frame
+
+    def test_replayed_clock_comes_from_the_stream(self):
+        """A replay reports the rate and ETA the live run had.
+
+        Two of sixty units done when the sampler read 2.0 s: 1.0 units/s
+        and 58 s to go, however long after the run the log is replayed.
+        """
+        from repro.runtime.dashboard import state_from_events
+        from repro.runtime.events import event_to_dict
+
+        ev = _events()
+        wire = [event_to_dict(ev.StudyStarted(
+            total_units=60, providers=20, vantage_points=60, workers=2,
+        ))]
+        for index in range(2):
+            wire.append(event_to_dict(ev.UnitFinished(
+                unit_id=f"u{index}", wall_ms=900.0, vantage_points=1,
+                queue_depth=58 - index,
+            )))
+        wire.append(event_to_dict(ev.ResourceSample(
+            elapsed_s=2.0, rss_kb=1000,
+        )))
+        top = state_from_events(wire).top()
+        assert top["elapsed_s"] == 2.0
+        assert top["units_per_s"] == 1.0
+        assert top["eta_s"] == 58.0
 
     def test_state_from_events_round_trips_wire_forms(self):
         from repro.runtime.dashboard import state_from_events
@@ -263,15 +321,16 @@ class TestTelemetrySideChannel:
             archive_fingerprint,
             write_study_archive,
         )
-        from repro.obs.sample import ledger_summary, read_ledger
-        from repro.runtime.dashboard import Dashboard
-        from repro.runtime.events import EventBus
+        from repro.runtime.dashboard import Dashboard, state_from_events
+        from repro.runtime.events import EventBus, EventLog, read_events
         from repro.runtime.executor import StudyExecutor
 
         bus = EventBus()
         stream = io.StringIO()
         panel = Dashboard(bus, stream=stream, interval_s=30.0).start()
         ledger_path = tmp_path / "ledger.jsonl"
+        ledger = EventLog(ledger_path)
+        bus.subscribe(ledger)
         executor = StudyExecutor(
             seed=2018,
             providers=GOLDEN_STUDY_PROVIDERS,
@@ -279,20 +338,22 @@ class TestTelemetrySideChannel:
             workers=2,
             backend="thread",
             bus=bus,
-            ledger_path=ledger_path,
             sample_interval_s=0.05,
         )
         report = executor.run()
         panel.stop()
+        ledger.close()
         root = tmp_path / "archive"
         write_study_archive(report, root)
         assert archive_fingerprint(root) == GOLDEN_STUDY_FINGERPRINT
 
-        summary = ledger_summary(read_ledger(ledger_path))
-        assert summary["samples"] >= 1
-        assert summary["worker_samples"] == summary["units_finished"] > 0
-        assert summary["rss_peak_kb"] > 0
-        assert summary["wall_s"] is not None
+        entries = read_events(ledger_path)
+        kinds = [entry["event"] for entry in entries]
+        top = state_from_events(entries).top()
+        assert kinds.count("ResourceSample") >= 1
+        assert kinds.count("WorkerSample") == top["completed"] > 0
+        assert top["peaks"]["rss_kb"] > 0
+        assert top["finished"] is True
         # The ledger rides alongside the archive without touching the
         # fingerprint precisely because it is .jsonl, not .json.
         assert ledger_path.suffix == ".jsonl"
@@ -300,9 +361,13 @@ class TestTelemetrySideChannel:
 
     def test_ledger_reports_shard_residency(self, tmp_path):
         """A sharded run's ledger must show multiple shards resident."""
-        from repro.obs.sample import ledger_summary, read_ledger
+        from repro.runtime.dashboard import state_from_events
+        from repro.runtime.events import EventBus, EventLog, read_events
         from repro.runtime.executor import StudyExecutor
 
+        bus = EventBus()
+        ledger = EventLog(tmp_path / "ledger.jsonl")
+        bus.subscribe(ledger)
         StudyExecutor(
             seed=2018,
             providers=GOLDEN_STUDY_PROVIDERS,
@@ -310,31 +375,42 @@ class TestTelemetrySideChannel:
             workers=2,
             backend="thread",
             shards=2,
-            ledger_path=tmp_path / "ledger.jsonl",
+            bus=bus,
             sample_interval_s=5.0,
         ).run()
-        summary = ledger_summary(read_ledger(tmp_path / "ledger.jsonl"))
-        assert summary["shards_resident_peak"] >= 2
+        ledger.close()
+        top = state_from_events(read_events(tmp_path / "ledger.jsonl")).top()
+        assert top["peaks"]["shards_resident"] >= 2
 
     def test_ledger_show_command(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.runtime.executor import StudyExecutor
+        """``study --ledger`` keeps the metrics deltas ``ledger show`` needs.
 
-        StudyExecutor(
-            seed=2018,
-            providers=["Seed4.me"],
-            max_vantage_points=1,
-            ledger_path=tmp_path / "ledger.jsonl",
-        ).run()
-        assert main(["ledger", "show", str(tmp_path / "ledger.jsonl")]) == 0
-        out = capsys.readouterr().out
-        assert "run ledger:" in out
-        assert "worker samples" in out
+        With ``--profile-stages`` the log carries every ``UnitMetrics``
+        delta, so the replay prints the hottest stages next to the
+        progress and worker rows.
+        """
+        from repro.cli import main
+
+        ledger = str(tmp_path / "ledger.jsonl")
         assert main([
-            "ledger", "show", str(tmp_path / "ledger.jsonl"), "--json",
+            "study", "--providers", "Seed4.me", "MyIP.io", "--max-vps", "1",
+            "--profile-stages", "--ledger", ledger,
         ]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["units_finished"] >= 1
+        capsys.readouterr()
+        assert main(["ledger", "show", ledger]) == 0
+        out = capsys.readouterr().out
+        assert "units    :" in out
+        assert "workers  :" in out
+        assert "stages   :" in out
+        assert main(["ledger", "show", ledger, "--json"]) == 0
+        top = json.loads(capsys.readouterr().out)
+        assert top["completed"] >= 1
+        assert top["stages"]
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"event": "UnitFinished", "unit_id": "u0"}\n')
+        assert main(["ledger", "show", str(bad)]) == 2
+        assert "bad ledger record" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +495,27 @@ class TestServeTop:
         assert f"job      : {job_id}" in out
         assert "units    :" in out
         assert "stages   :" in out
+
+    def test_ledger_show_of_served_events_matches_client_top(
+        self, daemon, capsys
+    ):
+        """A served job's events.jsonl is a ledger: same fold, same numbers."""
+        from repro.cli import main
+
+        client, job_id = _submit(daemon)
+        client.wait(job_id, timeout_s=120)
+        # Whether /top still reads the live fold or already replays the
+        # closed file, every event was published before the job resolved.
+        assert main([
+            "client", "--endpoint", daemon.endpoint, "top", job_id, "--json",
+        ]) == 0
+        served = json.loads(capsys.readouterr().out)
+        events = daemon.store.job_dir(job_id) / "events.jsonl"
+        assert main(["ledger", "show", str(events), "--json"]) == 0
+        replayed = json.loads(capsys.readouterr().out)
+        for key in ("completed", "total_units", "shards", "peaks"):
+            assert replayed[key] == served[key], key
+        assert replayed["completed"] > 0
 
     def test_watch_json_emits_machine_readable_events(self, daemon, capsys):
         from repro.cli import main

@@ -384,6 +384,7 @@ class TestEventBusReplay:
     def test_unit_metrics_flow_through_bus(self):
         from repro.obs.config import ObsConfig
         from repro.runtime import events as ev
+        from repro.runtime.dashboard import DashboardState
         from repro.runtime.executor import StudyExecutor
 
         bus = ev.EventBus()
@@ -396,7 +397,7 @@ class TestEventBusReplay:
         )
         executor.run()
         # A late aggregator converges on the same totals via replay.
-        late = ev.MetricsAggregator()
+        late = DashboardState()
         bus.subscribe(late)
         assert late.registry.snapshot() == executor.metrics.snapshot()
         # And a StudyMetrics event carrying the merged snapshot was

@@ -155,7 +155,9 @@ class TestEvents:
         assert isinstance(bus.first_handler_error, RuntimeError)
 
     def test_stats_collector_aggregates(self):
-        collector = ev.StatsCollector()
+        from repro.runtime.dashboard import DashboardState
+
+        collector = DashboardState()
         for event in [
             ev.StudyStarted(
                 total_units=3, providers=1, vantage_points=5, workers=2
@@ -182,6 +184,18 @@ class TestEvents:
         assert stats.wall_s == 1.5
         assert stats.total_unit_wall_ms == 10.0
         assert "1 units executed" in stats.summary()
+
+    def test_fold_sees_only_its_own_run_on_a_shared_bus(self):
+        bus = ev.EventBus()
+        first = StudyExecutor(
+            seed=2018, providers=["Seed4.me"], max_vantage_points=1, bus=bus,
+        )
+        first.run()
+        completed = first.stats.completed_units
+        StudyExecutor(
+            seed=2018, providers=["Seed4.me"], max_vantage_points=1, bus=bus,
+        ).run()
+        assert first.stats.completed_units == completed > 0
 
     def test_text_renderer_output(self):
         stream = io.StringIO()

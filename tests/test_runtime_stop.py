@@ -370,16 +370,21 @@ class TestExplainJson:
         from repro.cli import main
         from repro.config import StudyConfig
         from repro.obs.evidence import explain_document
+        from repro.source import StudySource
 
         assert main([
             "report", "explain", "Seed4.me", "--max-vps", "2", "--json",
         ]) == 0
         from_cli = json.loads(capsys.readouterr().out)
 
-        report, trace_records = explain_provider(
-            "Seed4.me", config=StudyConfig(max_vantage_points=2)
-        )
-        assert from_cli == explain_document(report, trace_records)
+        # The provider replaces whatever the config measures, a source
+        # included.
+        for config in (
+            StudyConfig(max_vantage_points=2),
+            StudyConfig(max_vantage_points=2, source=StudySource.catalog()),
+        ):
+            report, trace_records = explain_provider("Seed4.me", config=config)
+            assert from_cli == explain_document(report, trace_records)
 
 
 class TestStudySigterm:

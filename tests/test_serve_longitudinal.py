@@ -118,6 +118,7 @@ class TestSchedulerStop:
         self, tmp_path
     ):
         from repro.runtime import events as ev
+        from repro.runtime.dashboard import DashboardState
         from repro.runtime.scheduler import LongitudinalScheduler
 
         stop = threading.Event()
@@ -131,7 +132,7 @@ class TestSchedulerStop:
         LongitudinalScheduler(config, bus=bus, stop_event=stop).run()
 
         resumed_bus = ev.EventBus()
-        stats = ev.StatsCollector()
+        stats = DashboardState()
         resumed_bus.subscribe(stats)
         report = LongitudinalScheduler(config, bus=resumed_bus).run()
         assert not report.interrupted

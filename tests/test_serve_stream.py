@@ -146,14 +146,13 @@ class TestAtomicSubscribe:
 
 
 # ----------------------------------------------------------------------
-# JobEventLog
+# EventLog (a served job's events.jsonl)
 # ----------------------------------------------------------------------
 class TestJobEventLog:
-    def test_read_blocks_until_event_or_close(self):
+    def test_read_blocks_until_event_or_close(self, tmp_path):
         from repro.runtime import events as ev
-        from repro.serve.stream import JobEventLog
 
-        log = JobEventLog()
+        log = ev.EventLog(tmp_path / "events.jsonl")
         results = []
 
         def reader():
@@ -176,12 +175,66 @@ class TestJobEventLog:
         assert time.monotonic() - started < 1.0
         assert events == [] and closed is True
 
-    def test_untyped_events_are_skipped(self):
-        from repro.serve.stream import JobEventLog
+    def test_untyped_events_are_skipped(self, tmp_path):
+        from repro.runtime.events import EventLog
 
-        log = JobEventLog()
+        log = EventLog(tmp_path / "events.jsonl")
         log(object())
-        assert len(log) == 0
+        assert log.read(0) == ([], False)
+        log.close()
+        assert (tmp_path / "events.jsonl").read_bytes() == b""
+
+    def test_file_equals_reads_under_concurrent_publishers(self, tmp_path):
+        """The file, read back, is the live reads record for record.
+
+        Publishers outnumber the cores and switch every few microseconds,
+        so a seq handed out twice, or a line written out of offset order,
+        would show as a gap, a duplicate or a parse failure.
+        """
+        import sys
+
+        from repro.runtime import events as ev
+
+        log = ev.EventLog(tmp_path / "events.jsonl")
+        live: list[dict] = []
+
+        def publish(worker: int) -> None:
+            for index in range(200):
+                log(ev.UnitSkipped(unit_id=f"w{worker}-{index}", wall_ms=1.0))
+
+        def follow() -> None:
+            cursor = 0
+            while True:
+                records, closed = log.read(cursor, wait_s=1.0)
+                live.extend(records)
+                cursor += len(records)
+                if closed and not records:
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            follower = threading.Thread(target=follow)
+            follower.start()
+            publishers = [
+                threading.Thread(target=publish, args=(worker,))
+                for worker in range(8)
+            ]
+            for thread in publishers:
+                thread.start()
+            for thread in publishers:
+                thread.join(timeout=30)
+            log.close()
+            follower.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not follower.is_alive()
+        assert not any(thread.is_alive() for thread in publishers)
+
+        persisted = ev.read_events(tmp_path / "events.jsonl")
+        assert [e["seq"] for e in persisted] == list(range(8 * 200))
+        assert persisted == log.read(0)[0] == live
+        assert len({e["unit_id"] for e in persisted}) == 8 * 200
 
 
 # ----------------------------------------------------------------------
@@ -387,20 +440,21 @@ class TestMetricsEndpoint:
     ):
         """The wall-time histogram lands before the job turns terminal.
 
-        Persisting the event log is held until the test has scraped, so
-        a histogram observed after it would be missing from the scrape.
+        Closing the event log is held until the test has scraped, so a
+        histogram observed after it would be missing from the scrape.
         """
         from repro.obs.export import parse_exposition
+        from repro.runtime.events import EventLog
         from repro.serve.client import ServeClient
 
         scraped = threading.Event()
-        save_events = daemon.store.save_events
+        close = EventLog.close
 
-        def held_save_events(job_id, records):
+        def held_close(log):
             scraped.wait(timeout=60)
-            save_events(job_id, records)
+            close(log)
 
-        monkeypatch.setattr(daemon.store, "save_events", held_save_events)
+        monkeypatch.setattr(EventLog, "close", held_close)
         client = ServeClient(daemon.endpoint)
         job = client.submit(_request(providers=["Seed4.me"])).job_id
         try:
