@@ -102,23 +102,11 @@ def run_full_study(
     are enabled) and ``trace_records`` (the assembled span list or
     ``None``).
     """
-    import sys
-
     from repro.config import StudyConfig
-    from repro.runtime.events import EventBus, TextProgressRenderer
-    from repro.runtime.executor import StudyExecutor
 
-    if config is None:
-        config = StudyConfig()
-    if bus is None:
-        bus = EventBus()
-    if config.progress:
-        bus.subscribe(TextProgressRenderer(sys.stderr))
-    executor = StudyExecutor.from_config(
-        config,
-        bus=bus,
-        stop_event=stop_event,
-        sample_interval_s=sample_interval_s,
+    config = config or StudyConfig()
+    executor = _executor(
+        config, bus, stop_event=stop_event, sample_interval_s=sample_interval_s
     )
     # A streamed run writes one combined archive regardless of shard
     # count; per-shard archives are run_streamed(per_shard=True).
@@ -166,21 +154,60 @@ def run_longitudinal_study(
     config: Optional["StudyConfig"] = None,
     *,
     stop_event=None,
+    bus=None,
+    sample_interval_s=None,
+    vantage_budgets=None,
 ):
     """Re-run the study as *snapshots* measurements and diff the verdicts.
 
-    Every snapshot runs *config* (its source, shards, workers and backend)
-    on the executor.  ``config.reseed=True`` rebuilds each snapshot's
-    world from a derived seed (an ecosystem that may drift);
-    ``reseed=False`` re-measures the same world every time, so any verdict
-    change is a reproducibility failure.  Returns a
+    The series is one study (one plan, pool and bus; the keywords act as
+    in :func:`run_full_study`).  ``config.reseed=True`` rebuilds each
+    snapshot's world from a derived seed (an ecosystem that may drift);
+    ``reseed=False`` re-measures the same world, so any verdict change is
+    a reproducibility failure.  ``vantage_budgets`` sets each snapshot's
+    budget.  Snapshot N checkpoints in ``<root>/snapshot-NN`` (the root:
+    ``config.checkpoint_dir``, else ``config.archive_dir``), which is its
+    archive once finished.  Returns a
     :class:`repro.runtime.scheduler.LongitudinalReport` whose ``diffs``
-    list what changed between consecutive snapshots (empty when the
-    ecosystem — here, the simulation — is stable).
+    list what changed between snapshots; a stop returns the snapshots
+    before the first one it cut short, marked ``interrupted``.
     """
-    from repro.config import StudyConfig
-    from repro.runtime.scheduler import LongitudinalScheduler
+    import pathlib
+    import shutil
 
-    if config is None:
-        config = StudyConfig()
-    return LongitudinalScheduler(config, stop_event=stop_event).run()
+    from repro.config import StudyConfig
+    from repro.runtime.checkpoint import CheckpointStore
+    from repro.runtime.scheduler import snapshot_specs
+
+    config = config or StudyConfig()
+    root = config.checkpoint_dir or config.archive_dir
+    executor = _executor(
+        config,
+        bus,
+        stop_event=stop_event,
+        sample_interval_s=sample_interval_s,
+        checkpoint_dir=root,
+        snapshots=snapshot_specs(config, vantage_budgets),
+    )
+    if config.stream:
+        return executor.run_streamed(config.archive_dir)
+    report = executor.run()
+    if config.archive_dir and root != config.archive_dir:
+        for record in report.snapshots:  # a finished checkpoint's copy
+            target = pathlib.Path(config.archive_dir, record.spec.label)
+            shutil.copytree(record.archive_dir, target, dirs_exist_ok=True)
+            CheckpointStore(target).prune()
+            record.archive_dir = target
+    return report
+
+
+def _executor(config: "StudyConfig", bus, **overrides):
+    import sys
+
+    from repro.runtime.events import EventBus, TextProgressRenderer
+    from repro.runtime.executor import StudyExecutor
+
+    bus = bus or EventBus()
+    if config.progress:
+        bus.subscribe(TextProgressRenderer(sys.stderr))
+    return StudyExecutor.from_config(config, bus=bus, **overrides)

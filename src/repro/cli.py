@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument(
         "--stream", action="store_true",
         help="write the archive incrementally as units finish (flat "
-             "memory; requires --archive, excludes --snapshots > 1)",
+             "memory; requires --archive, where a series streams each "
+             "snapshot into snapshot-NN)",
     )
     study.add_argument(
         "--archive", metavar="DIR",
@@ -461,19 +462,28 @@ def cmd_list() -> int:
     return 0
 
 
+def _unknown_providers(names: Sequence[str]) -> bool:
+    """Print one error line naming the *names* not in the catalogue."""
+    from repro.vpn.catalog import catalog_names
+
+    unknown = [name for name in names if name not in catalog_names()]
+    if unknown:
+        print(f"error: unknown provider(s): {', '.join(unknown)}; "
+              f"see 'repro list'", file=sys.stderr)
+    return bool(unknown)
+
+
 def cmd_audit(provider: str, max_vps: int, seed: int) -> int:
     from repro.api import audit_provider
     from repro.config import StudyConfig
 
+    if _unknown_providers([provider]):
+        return 2
     try:
         report = audit_provider(
             provider,
             config=StudyConfig(seed=seed, max_vantage_points=max_vps),
         )
-    except KeyError:
-        print(f"unknown provider {provider!r}; see 'repro list'",
-              file=sys.stderr)
-        return 2
     except ValueError as exc:  # an out-of-range flag (--max-vps 0)
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -490,9 +500,17 @@ def cmd_study(
     import signal
     import threading
 
+    from repro.api import run_full_study, run_longitudinal_study
     from repro.core.archive import ArchiveReadError
     from repro.runtime.checkpoint import CheckpointMismatchError
+    from repro.runtime.events import EventBus, EventLog
     from repro.runtime.executor import StudyInterrupted
+
+    series = config.snapshots > 1
+    if series:
+        # Each finished snapshot's archive lands in <archive>/snapshot-NN.
+        config = config.replace(archive_dir=archive)
+    run = run_longitudinal_study if series else run_full_study
 
     # Graceful shutdown: SIGTERM/SIGINT set the stop event instead of
     # killing the process mid-unit.  The executor finishes in-flight
@@ -531,32 +549,6 @@ def cmd_study(
 
     started = time.time()
     try:
-        if config.snapshots > 1:
-            from repro.api import run_longitudinal_study
-
-            try:
-                report = run_longitudinal_study(
-                    config=config.replace(archive_dir=archive),
-                    stop_event=stop_event,
-                )
-            except StudyInterrupted as exc:
-                return _interrupted(exc)
-            print(report.summary())
-            print(f"\ncompleted in {time.time() - started:.0f}s")
-            if archive:
-                print(f"snapshots archived under {archive}")
-            if report.interrupted:
-                print(
-                    f"\nseries interrupted by signal {received['signum']} "
-                    f"after {len(report.snapshots)} snapshot(s)",
-                    file=sys.stderr,
-                )
-                return 128 + received["signum"]
-            return 0
-
-        from repro.api import run_full_study
-        from repro.runtime.events import EventBus, EventLog
-
         # Telemetry riders subscribe to the run's bus before the study
         # starts; either the ledger or the dashboard turns the background
         # resource sampler on.
@@ -570,8 +562,8 @@ def cmd_study(
             ledger = EventLog(ledger_path)
             bus.subscribe(ledger)
         try:
-            study = run_full_study(
-                config=config,
+            study = run(
+                config,
                 stop_event=stop_event,
                 bus=bus,
                 sample_interval_s=0.5 if dashboard or ledger_path else None,
@@ -595,6 +587,19 @@ def cmd_study(
     print(f"\ncompleted in {time.time() - started:.0f}s")
     if ledger_path:
         print(f"ledger written to {ledger_path}")
+    if config.obs.trace_path:
+        suffix = ".snapshot-NN" if series else ""
+        print(f"trace written to {config.obs.trace_path}{suffix}")
+    if config.obs.metrics_path:
+        print(f"metrics written to {config.obs.metrics_path}")
+    if series:
+        if archive:
+            print(f"snapshots archived under {archive}")
+        if study.interrupted:
+            print(f"\nseries interrupted by signal {received['signum']} "
+                  f"after {len(study.snapshots)} snapshot(s)", file=sys.stderr)
+            return 128 + received["signum"]
+        return 0
     if study.obs_metrics:
         if config.obs.profile_enabled:
             from repro.obs.profile import render_profile_table
@@ -608,10 +613,6 @@ def cmd_study(
             registry.merge(study.obs_metrics)
             print("\nexecution metrics:")
             print(registry.render())
-    if config.obs.trace_path:
-        print(f"trace written to {config.obs.trace_path}")
-    if config.obs.metrics_path:
-        print(f"metrics written to {config.obs.metrics_path}")
     if config.stream:
         # run_full_study returned a StreamedStudy: results are already on
         # disk, so there is nothing further to archive here.
@@ -923,7 +924,7 @@ def cmd_ledger_show(file: str, as_json: bool = False) -> int:
     import json
 
     from repro.runtime.dashboard import render_top, state_from_events
-    from repro.runtime.events import read_events
+    from repro.runtime.events import event_from_dict, read_events
 
     try:
         records = read_events(file)
@@ -937,6 +938,10 @@ def cmd_ledger_show(file: str, as_json: bool = False) -> int:
         top = state_from_events(records).top()
     except ValueError as exc:  # a record naming an event, in another shape
         print(f"bad ledger record in {file!r}: {exc}", file=sys.stderr)
+        return 2
+    if not any(event_from_dict(record) for record in records):
+        print(f"error: no record in {file!r} names a run event",
+              file=sys.stderr)
         return 2
     if as_json:
         print(json.dumps(top, indent=2, sort_keys=True))
@@ -982,6 +987,10 @@ def cmd_archive_fingerprint(path: str) -> int:
     root = pathlib.Path(path)
     if not root.is_dir():
         print(f"no such directory: {path}", file=sys.stderr)
+        return 2
+    if not any(root.rglob("*.json")):  # not the hash of nothing
+        print(f"error: no archive files (*.json) under {path}",
+              file=sys.stderr)
         return 2
     print(archive_fingerprint(root))
     return 0
@@ -1067,11 +1076,9 @@ def cmd_guide(providers: list[str], seed: int) -> int:
     from repro.core.scoring import build_selection_guide
 
     names = providers or _GUIDE_DEFAULTS
-    try:
-        study = run_full_study(StudyConfig(seed=seed, providers=names))
-    except KeyError as exc:
-        print(f"unknown provider(s): {exc}", file=sys.stderr)
+    if _unknown_providers(names):
         return 2
+    study = run_full_study(StudyConfig(seed=seed, providers=names))
     guide = build_selection_guide(study)
     print(guide.render())
     return 0
@@ -1094,13 +1101,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.stream and not args.archive:
             print("--stream requires --archive", file=sys.stderr)
             return 2
-        if args.stream and args.snapshots > 1:
-            print("--stream does not apply to --snapshots series",
-                  file=sys.stderr)
-            return 2
-        if args.snapshots > 1 and (args.dashboard or args.ledger):
-            print("--dashboard/--ledger do not apply to --snapshots series",
-                  file=sys.stderr)
+        if _unknown_providers(args.providers or ()):
             return 2
         ledger_path = args.ledger
         if ledger_path == "auto":

@@ -706,12 +706,6 @@ class TestSuite:
             for hostname in unit.hostnames
         ]
 
-    def plan_study(self) -> "StudyPlan":
-        """The study as an explicit work-unit graph (in sequential order)."""
-        from repro.runtime.units import decompose_study
-
-        return decompose_study(self)
-
     # ------------------------------------------------------------------
     # Assembly: unit results -> provider/study reports
     # ------------------------------------------------------------------

@@ -4,9 +4,9 @@ The runtime decomposes a study into independent work units
 (:mod:`~repro.runtime.units`), executes them on a worker pool with retries
 (:mod:`~repro.runtime.executor`, :mod:`~repro.runtime.retry`),
 checkpoints completed units so a killed study
-resumes (:mod:`~repro.runtime.checkpoint`), publishes progress events
-(:mod:`~repro.runtime.events`), and can drive N-snapshot longitudinal
-schedules (:mod:`~repro.runtime.scheduler`).
+resumes (:mod:`~repro.runtime.checkpoint`), and publishes progress events
+(:mod:`~repro.runtime.events`); an N-snapshot longitudinal series
+(:mod:`~repro.runtime.scheduler`) is one plan on the same executor.
 
 Exports are lazy (PEP 562): ``repro.core.harness`` imports
 ``repro.runtime.retry`` at module load while ``repro.runtime.executor``
@@ -35,11 +35,11 @@ _EXPORTS = {
     "StudyInterrupted": "repro.runtime.executor",
     "StudyHalted": "repro.runtime.events",
     "LongitudinalReport": "repro.runtime.scheduler",
-    "LongitudinalScheduler": "repro.runtime.scheduler",
     "SnapshotDiff": "repro.runtime.scheduler",
     "VerdictChange": "repro.runtime.scheduler",
     "derive_snapshot_seed": "repro.runtime.scheduler",
     "diff_verdicts": "repro.runtime.scheduler",
+    "snapshot_specs": "repro.runtime.scheduler",
     "verdict_map": "repro.runtime.scheduler",
 }
 

@@ -396,16 +396,8 @@ class ExecutionStats:
     unit_wall_ms: dict[str, float] = field(default_factory=dict)
 
     @property
-    def executed_units(self) -> int:
-        return self.completed_units
-
-    @property
     def total_unit_wall_ms(self) -> float:
         return sum(self.unit_wall_ms.values())
-
-    @property
-    def max_unit_wall_ms(self) -> float:
-        return max(self.unit_wall_ms.values(), default=0.0)
 
     def summary(self) -> str:
         return (

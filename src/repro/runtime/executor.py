@@ -12,6 +12,10 @@ the result sink, which makes committed units durable in a
 :class:`~repro.core.harness.StudyReport`, ``run_streamed()`` records them
 in its archive and returns a :class:`StreamedStudy`.
 
+A snapshot series (``snapshots=``) is the same loop over one plan of all
+snapshots' units; each snapshot has its own sink in ``snapshot-NN``, and
+keeps only its verdicts once its last unit is done and it is assembled.
+
 One dispatch loop serves every pool.  ``workers=1`` submits to an inline
 pool that runs each unit at submit time on the coordinator's own suites;
 thread, process and borrowed pools take the same path.  The loop keeps at
@@ -47,13 +51,16 @@ import time
 from collections import OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from itertools import takewhile
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.harness import TestSuite
 from repro.runtime import events as ev
 from repro.runtime.checkpoint import CheckpointStore, CompletedUnit
 from repro.runtime.dashboard import DashboardState
 from repro.runtime.retry import RetryPolicy
+from repro.runtime.scheduler import LongitudinalReport, SnapshotRecord
+from repro.runtime.scheduler import SnapshotSpec, diff_verdicts, verdict_fields
 from repro.runtime.units import AuditUnit, StudyPlan
 from repro.source import StudySource
 from repro.world_factory import ShardedWorldFactory
@@ -179,19 +186,22 @@ def _build_shard_suite(
 
 
 def _shard_suite_cached(
-    cache: "OrderedDict[int, TestSuite]",
+    cache: "OrderedDict[tuple[int, int], TestSuite]",
     seed: int,
     source: StudySource,
     shard: int,
     shards: int,
     suite_kwargs: dict,
+    snapshot: int = 0,
 ) -> TestSuite:
-    """Fetch/build a shard suite through a small per-worker LRU."""
-    suite = cache.get(shard)
+    """Fetch/build a suite through a small per-worker LRU, keyed
+    ``(snapshot, shard)``: a unit run again on its world probes anew."""
+    key = (snapshot, shard)
+    suite = cache.get(key)
     if suite is None:
         cache.misses = getattr(cache, "misses", 0) + 1
         suite = _build_shard_suite(seed, source, shard, shards, suite_kwargs)
-        cache[shard] = suite
+        cache[key] = suite
         if len(cache) > _WORKER_SUITE_CACHE:
             cache.popitem(last=False)
             # The evicted world is a reference cycle, and units on other
@@ -199,7 +209,7 @@ def _shard_suite_cached(
             gc.collect()
     else:
         cache.hits = getattr(cache, "hits", 0) + 1
-        cache.move_to_end(shard)
+        cache.move_to_end(key)
     return suite
 
 
@@ -257,11 +267,11 @@ _PROCESS_STATE: dict = {}
 
 
 def _process_worker_init(
-    seed: int, source: StudySource, shards: int, suite_kwargs: dict
+    seeds: list[int], source: StudySource, shards: int, suite_kwargs: dict
 ) -> None:
     _COLLECTOR_PAUSE.after_fork()
     _PROCESS_STATE.update(
-        seed=seed,
+        seeds=seeds,
         source=source,
         shards=shards,
         suite_kwargs=suite_kwargs,
@@ -270,14 +280,15 @@ def _process_worker_init(
 
 
 def _process_run_unit(unit: AuditUnit) -> UnitOutcome:
-    suites = _PROCESS_STATE["suites"]
+    suites, snapshot = _PROCESS_STATE["suites"], unit.snapshot or 0
     suite = _shard_suite_cached(
         suites,
-        _PROCESS_STATE["seed"],
+        _PROCESS_STATE["seeds"][snapshot],
         _PROCESS_STATE["source"],
         unit.shard,
         _PROCESS_STATE["shards"],
         _PROCESS_STATE["suite_kwargs"],
+        snapshot,
     )
     return _timed_run_unit(suite, unit, suites)
 
@@ -348,7 +359,7 @@ class _MemorySink:
     there and the finished study leaves its archive there.
     """
 
-    def __init__(self, checkpoint_dir: Optional[str]) -> None:
+    def __init__(self, checkpoint_dir: Optional[str | pathlib.Path]) -> None:
         from repro.core.harness import StudyReport
 
         self._store = (
@@ -490,6 +501,18 @@ class _ArchiveSink:
 _ResultSink = _MemorySink | _ArchiveSink
 
 
+@dataclass
+class _Snapshot:
+    """One snapshot's share of a run (all of it, in a one-shot study)."""
+
+    record: SnapshotRecord
+    plan: StudyPlan
+    sink: Optional[_ResultSink]
+    journal: dict[str, CompletedUnit]
+    pending: int = 0
+    settled: bool = False
+
+
 class StudyExecutor:
     """Run a study as a unit graph on a worker pool.
 
@@ -498,7 +521,9 @@ class StudyExecutor:
     ``checkpoint_dir`` makes :meth:`run`'s progress durable: re-running
     with the same directory (and parameters) skips every unit whose
     results are already journalled there.  A streamed run's archive is its
-    own checkpoint.
+    own checkpoint.  ``snapshots`` (from
+    :func:`~repro.runtime.scheduler.snapshot_specs`) makes the run a
+    snapshot series, each snapshot with its own seed and vantage budget.
     """
 
     def __init__(
@@ -517,6 +542,7 @@ class StudyExecutor:
         source: Optional[StudySource] = None,
         shards: int = 1,
         sample_interval_s: Optional[float] = None,
+        snapshots: Optional[Sequence[SnapshotSpec]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -530,7 +556,6 @@ class StudyExecutor:
             raise ValueError("pass providers= or source=, not both")
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        self.seed = seed
         if source is None:
             source = (
                 StudySource.explicit(providers)
@@ -540,6 +565,12 @@ class StudyExecutor:
         self.source = source
         self.shards = shards
         self.max_vantage_points = max_vantage_points
+        self.snapshots = list(snapshots) if snapshots is not None else None
+        # A one-shot study runs as the one snapshot of its own parameters.
+        self._specs = self.snapshots or [
+            SnapshotSpec(0, seed, max_vantage_points)
+        ]
+        self._seeds = [spec.seed for spec in self._specs]
         self.workers = workers
         self.backend = backend
         self.retry = retry or RetryPolicy.single_retry()
@@ -607,7 +638,7 @@ class StudyExecutor:
             return []
         dumps: list[dict] = []
         for unit in self.plan.units:
-            payload = self._obs_payloads.get(unit.unit_id)
+            payload = self._obs_payloads.get(unit.key)
             if payload:
                 dumps.extend(payload.get("flight_dumps") or [])
         return dumps
@@ -665,54 +696,56 @@ class StudyExecutor:
         if sampler is not None:
             sampler.stop()
 
-    def _shard_suite(self, shard: int) -> TestSuite:
-        """The coordinator's suite for one shard (small LRU)."""
+    def _shard_suite(self, snapshot: int, shard: int) -> TestSuite:
+        """The coordinator's suite for one snapshot's shard (small LRU)."""
         return _shard_suite_cached(
             self._suites,
-            self.seed,
+            self._seeds[snapshot],
             self.source,
             shard,
             self.shards,
             self._suite_kwargs(),
+            snapshot,
         )
 
-    def _plan(self, suite: TestSuite) -> StudyPlan:
-        """The study plan: shard decompositions concatenated in order.
+    def _plan(self, spec: SnapshotSpec) -> StudyPlan:
+        """One snapshot's plan: shard decompositions concatenated in order.
 
         Shard order equals source order equals the monolithic provider
         order, so the sharded plan lists the same providers and units, in
         the same sequence, as the unsharded one — only the ``shard`` tags
-        differ.
+        differ.  In a series every unit is tagged with its snapshot too.
         """
-        if self.shards == 1:
-            plan = suite.plan_study()
-        else:
-            from repro.runtime.units import decompose_study
+        from repro.runtime.units import decompose_study
 
-            plan = StudyPlan(
-                seed=self.seed, max_vantage_points=self.max_vantage_points
-            )
-            for shard in range(self.shards):
-                sub = decompose_study(self._shard_suite(shard), shard=shard)
-                plan.providers.extend(sub.providers)
-                plan.units.extend(sub.units)
+        plan = StudyPlan(spec.seed, spec.max_vantage_points)
         plan.source_key = self.source.plan_key()
+        snapshot = spec.index if self.snapshots is not None else None
+        for shard in range(self.shards):
+            suite = self._shard_suite(spec.index, shard)
+            # The snapshot's budget matters only here, selecting endpoints.
+            suite.max_vantage_points = spec.max_vantage_points
+            sub = decompose_study(suite, shard=shard, snapshot=snapshot)
+            plan.providers.extend(sub.providers)
+            plan.units.extend(sub.units)
         return plan
 
     # ------------------------------------------------------------------
     # The study loop: one path for both sinks
     # ------------------------------------------------------------------
-    def run(self) -> "StudyReport":
-        """Execute the study; returns the assembled report.
+    def run(self) -> "StudyReport | LongitudinalReport":
+        """Execute the study; returns the assembled report (a series,
+        its :class:`~repro.runtime.scheduler.LongitudinalReport`).
 
         Unit results stay in memory as objects until assembly (and the
-        ``checkpoint_dir`` ends as the study's archive).
+        ``checkpoint_dir`` ends as the study's archive; a snapshot's in
+        its ``snapshot-NN``).
         """
-        return self._execute(_MemorySink(self.checkpoint_dir))
+        return self._execute(self.checkpoint_dir, _MemorySink)
 
     def run_streamed(
         self, archive_dir: str | pathlib.Path, per_shard: bool = False
-    ) -> StreamedStudy:
+    ) -> "StreamedStudy | LongitudinalReport":
         """Execute the study, writing the archive as units complete.
 
         Unlike :meth:`run`, unit results never accumulate in memory: each
@@ -730,65 +763,78 @@ class StudyExecutor:
         archive byte-identical to an unsharded, unstreamed run's.  With
         ``per_shard=False`` the single streamed archive itself is
         byte-identical to ``write_study_archive`` of :meth:`run`'s report.
+        A series streams each snapshot into ``<archive_dir>/snapshot-NN``.
         """
-        return self._execute(_ArchiveSink(archive_dir, self.shards, per_shard))
+        return self._execute(
+            archive_dir,
+            lambda store: _ArchiveSink(store, self.shards, per_shard),
+        )
 
-    def _execute(self, sink: "_ResultSink") -> "StudyReport | StreamedStudy":
-        """Plan, replay the journal, dispatch, assemble into *sink*."""
-        # The fold sees only this run: a shared bus (the longitudinal
-        # scheduler reuses one across snapshots) must neither replay
+    def _execute(
+        self,
+        root: Optional[str | pathlib.Path],
+        make_sink: Callable[[Optional[pathlib.Path]], "_ResultSink"],
+    ) -> "StudyReport | StreamedStudy | LongitudinalReport":
+        """Plan and open each snapshot (with ``make_sink`` of its store
+        under *root*), replay the journals, dispatch, settle."""
+        # The fold sees only this run: a shared bus must neither replay
         # earlier runs into it nor feed it later ones.
         self.bus.subscribe(self._fold, replay=False)
         self._start_sampler()
         try:
             started = time.perf_counter()
-            suite = self._shard_suite(0)
-            plan = self._plan(suite)
-            self.plan = plan
+            snapshots: list[_Snapshot] = []
+            # Planned last to first, so the coordinator's suite cache is
+            # left holding the worlds of the snapshots that run first.
+            for spec in reversed(self._specs):
+                label = spec.label if self.snapshots is not None else ""
+                store = pathlib.Path(root, label) if root else None
+                plan, sink = self._plan(spec), make_sink(store)
+                record = SnapshotRecord(spec, {}, store)
+                snapshots.insert(
+                    0, _Snapshot(record, plan, sink, sink.open(plan))
+                )
+            if self.snapshots is None:
+                self.plan = snapshots[0].plan
+            units = [(s, u) for s in snapshots for u in s.plan.units]
+            skipped = [u for s, u in units if u.unit_id in s.journal]
+            pending = [u for s, u in units if u.unit_id not in s.journal]
+            for unit in pending:
+                snapshots[unit.snapshot or 0].pending += 1
 
-            journal = sink.open(plan)
-            skipped = [u for u in plan.units if u.unit_id in journal]
-            pending = [u for u in plan.units if u.unit_id not in journal]
-
+            plans = [snapshot.plan for snapshot in snapshots]
             self.bus.publish(
                 ev.StudyStarted(
-                    total_units=len(plan.units),
-                    providers=len(plan.providers),
-                    vantage_points=plan.total_vantage_points,
+                    total_units=len(skipped) + len(pending),
+                    providers=len(set().union(*(p.providers for p in plans))),
+                    vantage_points=sum(p.total_vantage_points for p in plans),
                     workers=self.workers,
                     resumed_units=len(skipped),
                 )
             )
             for unit in skipped:
+                journal = snapshots[unit.snapshot or 0].journal
                 self.bus.publish(
                     ev.UnitSkipped(
-                        unit_id=unit.unit_id,
-                        wall_ms=journal[unit.unit_id].wall_ms,
+                        unit_id=unit.key, wall_ms=journal[unit.unit_id].wall_ms
                     )
                 )
 
-            if pending:
-                self._dispatch(suite, plan, pending, sink)
-
-            obs = suite.obs
-            profile = obs.profile if obs is not None else None
-            analysis = profile.phase("analysis") if profile else nullcontext()
-            with analysis:
-                self._assemble(plan, sink)
-            result = sink.finish()
-            if obs is not None:
-                # Assembly runs on the coordinator outside any unit; its
-                # profiled "analysis" phase joins the study aggregate as
-                # one extra delta at the same merge point as everything
-                # else.
-                snapshot = obs.drain_profile()
-                if snapshot is not None:
-                    self.bus.publish(
-                        ev.UnitMetrics(
-                            unit_id="__analysis__", snapshot=snapshot
-                        )
-                    )
-            self._finalize_obs(plan)
+            try:
+                for snapshot in snapshots:
+                    if self.snapshots is not None and not snapshot.pending:
+                        self._settle(snapshot)
+                if pending:
+                    self._dispatch(snapshots, pending)
+            except StudyInterrupted:
+                if self.snapshots is None:
+                    raise
+                return self._series_report(snapshots, interrupted=True)
+            if self.snapshots is None:
+                result = self._settle(snapshots[0])
+            else:
+                result = self._series_report(snapshots, interrupted=False)
+            self._finalize_obs()
             self._stop_sampler()
             self.bus.publish(
                 ev.StudyFinished(
@@ -804,35 +850,88 @@ class StudyExecutor:
             self._stop_sampler()
             self.bus.unsubscribe(self._fold)
 
-    def _assemble(self, plan: StudyPlan, sink: "_ResultSink") -> None:
-        """Assemble every provider into *sink*, in plan order.
+    def _settle(
+        self, snapshot: _Snapshot
+    ) -> "Optional[StudyReport | StreamedStudy]":
+        """Assemble a snapshot whose every unit is done; a series keeps
+        its verdicts only, and drops its report and coordinator worlds."""
+        result = self._assemble(snapshot)
+        self._write_trace(snapshot)
+        if self.snapshots is None:
+            return result
+        del result
+        snapshot.settled, snapshot.sink = True, None
+        for unit in snapshot.plan.units:
+            self._obs_payloads.pop(unit.key, None)
+        index = snapshot.record.spec.index
+        for key in [key for key in self._suites if key[0] == index]:
+            del self._suites[key]
+        # Worlds are reference cycles, and units of other jobs on a shared
+        # pool may hold the collector paused.
+        gc.collect()
+
+    def _series_report(
+        self, snapshots: list[_Snapshot], interrupted: bool
+    ) -> LongitudinalReport:
+        """The settled snapshots before the first unsettled one, diffed."""
+        records = [s.record for s in takewhile(lambda s: s.settled, snapshots)]
+        return LongitudinalReport(
+            snapshots=records,
+            diffs=[
+                diff_verdicts(old.verdicts, new.verdicts, new.spec.index)
+                for old, new in zip(records, records[1:])
+            ],
+            interrupted=interrupted,
+        )
+
+    def _assemble(
+        self, snapshot: _Snapshot
+    ) -> "StudyReport | StreamedStudy":
+        """Assemble each provider of *snapshot* into its sink, in plan order.
 
         Each provider is assembled on its own shard's suite (only that
         world contains it; with one shard it is the coordinator's suite),
         so scheduling order and shard count never reach the report.
         """
+        plan, sink = snapshot.plan, snapshot.sink
+        index = snapshot.record.spec.index
+        obs = self._shard_suite(index, 0).obs if self.obs_config else None
+        profile = obs.profile if obs is not None else None
         units_of: dict[str, list[AuditUnit]] = {}
         for unit in plan.units:
             units_of.setdefault(unit.provider, []).append(unit)
-        for name in plan.providers:
-            units = units_of.get(name, [])
-            shard = units[0].shard if units else 0
-            shard_suite = self._shard_suite(shard)
-            unit_results = {}
-            for unit in units:
-                results = sink.get(unit)
-                if results is not None:
-                    unit_results[unit.unit_id] = results
-            report = shard_suite.assemble_provider_from_plan(
-                plan, name, unit_results
-            )
-            sink.add(shard_suite, shard, name, report)
+        with profile.phase("analysis") if profile else nullcontext():
+            for name in plan.providers:
+                units = units_of.get(name, [])
+                shard = units[0].shard if units else 0
+                shard_suite = self._shard_suite(index, shard)
+                unit_results = {}
+                for unit in units:
+                    results = sink.get(unit)
+                    if results is not None:
+                        unit_results[unit.unit_id] = results
+                report = shard_suite.assemble_provider_from_plan(
+                    plan, name, unit_results
+                )
+                sink.add(shard_suite, shard, name, report)
+                snapshot.record.verdicts[name] = verdict_fields(report)
+        result = sink.finish()
+        if obs is not None:
+            # Assembly runs on the coordinator outside any unit; its
+            # profiled "analysis" phase joins the study aggregate as one
+            # extra delta at the same merge point as everything else.
+            drained = obs.drain_profile()
+            if drained is not None:
+                self.bus.publish(
+                    ev.UnitMetrics(unit_id="__analysis__", snapshot=drained)
+                )
+        return result
 
     # ------------------------------------------------------------------
     # Dispatch: one loop for the inline, thread, process and shared pools
     # ------------------------------------------------------------------
     def _pool(
-        self, suite: TestSuite
+        self,
     ) -> tuple[
         concurrent.futures.Executor, Callable[[AuditUnit], UnitOutcome], int
     ]:
@@ -845,10 +944,8 @@ class StudyExecutor:
         if self.workers == 1 and self.pool is None:
 
             def run_inline(unit: AuditUnit) -> UnitOutcome:
-                unit_suite = suite
-                if self.shards > 1:
-                    unit_suite = self._shard_suite(unit.shard)
-                return _timed_run_unit(unit_suite, unit, self._suites)
+                suite = self._shard_suite(unit.snapshot or 0, unit.shard)
+                return _timed_run_unit(suite, unit, self._suites)
 
             return _InlinePool(), run_inline, 1
         if self.backend == "process":
@@ -856,7 +953,7 @@ class StudyExecutor:
                 max_workers=self.workers,
                 initializer=_process_worker_init,
                 initargs=(
-                    self.seed, self.source, self.shards, self._suite_kwargs()
+                    self._seeds, self.source, self.shards, self._suite_kwargs()
                 ),
             )
             return pool, _process_run_unit, 2 * self.workers
@@ -869,11 +966,12 @@ class StudyExecutor:
                 thread_state.suites = suites
             suite = _shard_suite_cached(
                 suites,
-                self.seed,
+                self._seeds[unit.snapshot or 0],
                 self.source,
                 unit.shard,
                 self.shards,
                 self._suite_kwargs(),
+                unit.snapshot or 0,
             )
             return _timed_run_unit(suite, unit, suites)
 
@@ -883,23 +981,21 @@ class StudyExecutor:
         return pool, run_unit, 2 * self.workers
 
     def _dispatch(
-        self,
-        suite: TestSuite,
-        plan: StudyPlan,
-        pending: list[AuditUnit],
-        sink: "_ResultSink",
+        self, snapshots: list[_Snapshot], pending: list[AuditUnit]
     ) -> None:
         """Run *pending* through the pool's window, committing each unit.
 
         A unit is submitted, and its ``UnitStarted`` published, only when
         a slot frees.  A failed attempt is resubmitted while the retry
-        policy allows it and no stop has been seen.  On a stop the loop
-        submits nothing more, cancels what the pool has not started,
-        commits the rest as it finishes, and halts with the units never
-        dispatched as ``remaining``.
+        policy allows it and no stop has been seen.  A series snapshot
+        settles as soon as its last unit is committed or has failed.  On a
+        stop the loop submits nothing more, cancels what the pool has not
+        started, commits the rest as it finishes, and halts with the units
+        never dispatched as ``remaining``.
         """
-        pool, run_unit, window = self._pool(suite)
-        index_of = {u.unit_id: i + 1 for i, u in enumerate(plan.units)}
+        pool, run_unit, window = self._pool()
+        units = [u for snapshot in snapshots for u in snapshot.plan.units]
+        index_of = {u.key: i + 1 for i, u in enumerate(units)}
         queue = deque(pending)
         # future -> (unit, attempt number)
         active: dict[concurrent.futures.Future, tuple[AuditUnit, int]] = {}
@@ -917,11 +1013,11 @@ class StudyExecutor:
                     self._live["in_flight"] = len(active) + 1
                     self.bus.publish(
                         ev.UnitStarted(
-                            unit_id=unit.unit_id,
+                            unit_id=unit.key,
                             provider=unit.provider,
                             kind=unit.kind.value,
-                            index=index_of[unit.unit_id],
-                            total=len(plan.units),
+                            index=index_of[unit.key],
+                            total=len(units),
                             shard=unit.shard,
                         )
                     )
@@ -937,13 +1033,14 @@ class StudyExecutor:
                 )
                 for future in done:
                     unit, attempt = active.pop(future)
+                    snapshot = snapshots[unit.snapshot or 0]
                     try:
                         outcome = future.result()
                     except Exception as exc:  # noqa: BLE001 - unit isolation
                         if self.retry.should_retry(attempt) and not stopping:
                             self.bus.publish(
                                 ev.UnitRetried(
-                                    unit_id=unit.unit_id,
+                                    unit_id=unit.key,
                                     attempt=attempt,
                                     backoff_s=self.retry.backoff_s(
                                         attempt, key=unit.unit_id
@@ -954,19 +1051,22 @@ class StudyExecutor:
                             active[pool.submit(run_unit, unit)] = (
                                 unit, attempt + 1
                             )
-                        else:
-                            self.bus.publish(
-                                ev.UnitFailed(
-                                    unit_id=unit.unit_id,
-                                    attempts=attempt,
-                                    error=repr(exc),
-                                )
+                            continue
+                        self.bus.publish(
+                            ev.UnitFailed(
+                                unit_id=unit.key,
+                                attempts=attempt,
+                                error=repr(exc),
                             )
-                        continue
-                    self._commit(
-                        unit, outcome, sink,
-                        queue_depth=len(queue) + len(active),
-                    )
+                        )
+                    else:
+                        self._commit(
+                            unit, outcome, snapshot.sink,
+                            queue_depth=len(queue) + len(active),
+                        )
+                    snapshot.pending -= 1
+                    if not snapshot.pending and self.snapshots is not None:
+                        self._settle(snapshot)
                 self._live["in_flight"] = len(active)
         finally:
             self._live["queue_depth"] = 0
@@ -1001,22 +1101,22 @@ class StudyExecutor:
         results, connect_retries, wall_ms, obs_payload, resources = outcome
         sink.put(unit, results, wall_ms, connect_retries)
         if obs_payload is not None:
-            self._obs_payloads[unit.unit_id] = obs_payload
+            self._obs_payloads[unit.key] = obs_payload
             snapshot = obs_payload.get("metrics")
             if snapshot is not None:
                 # Commit is the checkpoint boundary: per-worker metrics
                 # deltas merge into the study aggregate exactly when the
                 # unit's results become durable.
                 self.bus.publish(
-                    ev.UnitMetrics(unit_id=unit.unit_id, snapshot=snapshot)
+                    ev.UnitMetrics(unit_id=unit.key, snapshot=snapshot)
                 )
         if resources and self.sample_interval_s is not None:
             self.bus.publish(
-                ev.WorkerSample(unit_id=unit.unit_id, **resources)
+                ev.WorkerSample(unit_id=unit.key, **resources)
             )
         self.bus.publish(
             ev.UnitFinished(
-                unit_id=unit.unit_id,
+                unit_id=unit.key,
                 wall_ms=wall_ms,
                 vantage_points=len(results),
                 queue_depth=queue_depth,
@@ -1024,46 +1124,52 @@ class StudyExecutor:
             )
         )
 
-    def _finalize_obs(self, plan: StudyPlan) -> None:
-        """Assemble the study trace and publish the merged metrics.
+    def _write_trace(self, snapshot: _Snapshot) -> None:
+        """Assemble a snapshot's trace (the study's, in a one-shot run).
 
         Trace records are concatenated in *plan order* — like result
         assembly, scheduling order never reaches the output, so the JSONL
         trace from ``workers=8 / process`` is byte-identical to the
         ``workers=1`` run (units resumed from a checkpoint were never
-        executed and contribute no spans).
+        executed and contribute no spans).  Snapshots that share a seed
+        share span ids, so each writes ``<trace_path>.snapshot-NN``.
         """
-        if self.obs_config is None:
+        if self.obs_config is None or not self.obs_config.trace_enabled:
             return
-        if self.obs_config.trace_enabled:
-            from repro.obs.trace import JsonlSpanSink, study_record
+        from repro.obs.trace import JsonlSpanSink, study_record
 
-            records: list[dict] = [
-                study_record(
-                    seed=self.seed,
-                    providers=plan.providers,
-                    total_units=len(plan.units),
-                    max_vantage_points=self.max_vantage_points,
-                )
-            ]
-            for unit in plan.units:
-                payload = self._obs_payloads.get(unit.unit_id)
-                if payload:
-                    records.extend(payload.get("trace") or [])
-            self.trace_records = records
-            if self.obs_config.trace_path:
-                sink = JsonlSpanSink(self.obs_config.trace_path)
-                try:
-                    for record in records:
-                        sink.write(record)
-                finally:
-                    sink.close()
+        plan = snapshot.plan
+        records: list[dict] = [
+            study_record(
+                seed=plan.seed,
+                providers=plan.providers,
+                total_units=len(plan.units),
+                max_vantage_points=plan.max_vantage_points,
+            )
+        ]
+        for unit in plan.units:
+            payload = self._obs_payloads.get(unit.key)
+            if payload:
+                records.extend(payload.get("trace") or [])
+        self.trace_records = records
+        path = self.obs_config.trace_path
+        if path and self.snapshots is not None:
+            path = f"{path}.{snapshot.record.spec.label}"
+        if path:
+            sink = JsonlSpanSink(path)
+            try:
+                for record in records:
+                    sink.write(record)
+            finally:
+                sink.close()
+
+    def _finalize_obs(self) -> None:
+        """Publish the run's merged metrics (and write ``metrics_path``)."""
         if self.metrics is not None:
             snapshot = self.metrics.snapshot()
             self.bus.publish(ev.StudyMetrics(snapshot=snapshot))
             if self.obs_config.metrics_path:
                 import json
-                import pathlib
 
                 path = pathlib.Path(self.obs_config.metrics_path)
                 path.parent.mkdir(parents=True, exist_ok=True)

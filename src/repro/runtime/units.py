@@ -51,7 +51,8 @@ class AuditUnit:
     (always 0 for unsharded studies); workers use it to pick the right
     world template.  It is routing metadata, not identity — two plans
     that differ only in shard assignment have identical unit ids and
-    can resume each other's checkpoints.
+    can resume each other's checkpoints.  So is ``snapshot`` (a series
+    snapshot's index, or None), which the plan pin does not carry.
     """
 
     provider: str
@@ -59,12 +60,20 @@ class AuditUnit:
     hostnames: tuple[str, ...]
     seed: int
     shard: int = 0
+    snapshot: int | None = field(default=None, metadata={"archive": False})
 
     @property
     def unit_id(self) -> str:
-        """Stable identifier used for checkpoints, events and retry keys."""
+        """Stable identifier used for checkpoints, spans and retry keys."""
         anchor = _slug(self.hostnames[0]) if self.kind is UnitKind.FULL else "all"
         return f"{_slug(self.provider)}::{self.kind.value}::{anchor}"
+
+    @property
+    def key(self) -> str:
+        """The unit's id on the bus: ``unit_id``, unique across a series."""
+        if self.snapshot is None:
+            return self.unit_id
+        return f"snapshot-{self.snapshot:02d}/{self.unit_id}"
 
     @property
     def vantage_point_count(self) -> int:
@@ -133,14 +142,16 @@ class StudyPlan:
         return base
 
 
-def decompose_study(suite: "TestSuite", shard: int = 0) -> StudyPlan:
+def decompose_study(
+    suite: "TestSuite", shard: int = 0, snapshot: int | None = None
+) -> StudyPlan:
     """Decompose *suite*'s world into the study's unit graph.
 
     Providers in the world's order; per provider, the selected endpoints
     (full battery) in selection order, then a single sweep unit over every
-    remaining endpoint.  ``shard`` tags every unit with the world shard it
-    belongs to; a sharded plan is the concatenation of per-shard
-    decompositions in shard order.
+    remaining endpoint.  ``shard`` and ``snapshot`` tag every unit with
+    its world shard and series snapshot; a sharded plan is the
+    concatenation of per-shard decompositions in shard order.
     """
     world = suite.world
     plan = StudyPlan(
@@ -160,6 +171,7 @@ def decompose_study(suite: "TestSuite", shard: int = 0) -> StudyPlan:
                         world.seed, name, vantage_point.hostname
                     ),
                     shard=shard,
+                    snapshot=snapshot,
                 )
             )
         remaining = tuple(
@@ -175,6 +187,7 @@ def decompose_study(suite: "TestSuite", shard: int = 0) -> StudyPlan:
                     hostnames=remaining,
                     seed=derive_unit_seed(world.seed, name, "*sweep*"),
                     shard=shard,
+                    snapshot=snapshot,
                 )
             )
     return plan

@@ -15,8 +15,8 @@ Jobs are typed by :class:`JobKind`:
   ``repro study`` as a service;
 - ``recheck`` — a single-provider re-audit with tracing forced on, so the
   result carries evidence chains for every verdict;
-- ``snapshots`` — a longitudinal series driven by
-  :class:`repro.runtime.scheduler.LongitudinalScheduler`.
+- ``snapshots`` — a longitudinal series, run as one study of its
+  :func:`repro.runtime.scheduler.snapshot_specs` on the executor.
 
 The measurement itself is pinned by the embedded
 :class:`repro.config.StudyConfig`; the request adds only service-level

@@ -13,7 +13,7 @@ starts second does not wait for the first job's whole plan.  Results
 stay byte-identical regardless of the interleaving because unit results
 are independent of scheduling order by construction.
 
-Each job also gets:
+Each job (a ``snapshots`` job is one series on one executor) also gets:
 
 - a **checkpoint**, which is the job's archive directory in the store, so
   a daemon killed mid-job resumes the job from its last committed unit on
@@ -48,6 +48,7 @@ from repro.runtime import events as ev
 from repro.runtime.checkpoint import CheckpointMismatchError
 from repro.runtime.dashboard import DashboardState
 from repro.runtime.executor import StudyExecutor, StudyInterrupted
+from repro.runtime.scheduler import snapshot_specs
 from repro.serve.jobs import JobQueue
 from repro.serve.protocol import JobKind, JobRecord, JobState
 from repro.serve.store import ResultStore
@@ -210,10 +211,7 @@ class JobScheduler:
         if cancelled or self._shutdown.is_set():
             stop_event.set()
         try:
-            if record.request.kind is JobKind.SNAPSHOTS:
-                self._run_snapshots(record, bus, stop_event, started)
-            else:
-                self._run_study(record, bus, stop_event, started)
+            self._run_study(record, bus, stop_event, started)
         except StudyInterrupted:
             progress = _progress_dict(fold.stats)
             if record.job_id in self._cancelled:
@@ -284,6 +282,7 @@ class JobScheduler:
             # A re-check must come back explainable: force tracing so the
             # evidence document carries resolvable chains.
             config = config.replace(obs=config.obs.replace(trace=True))
+        series = record.request.kind is JobKind.SNAPSHOTS
         executor = StudyExecutor.from_config(
             config,
             bus=bus,
@@ -296,56 +295,32 @@ class JobScheduler:
             # log, which is where /jobs/{id}/top reads its RSS/queue
             # numbers.  A side channel: results stay byte-identical.
             sample_interval_s=self.config.sample_interval_s,
+            snapshots=snapshot_specs(config) if series else None,
         )
         report = executor.run()
-        metrics = executor.metrics
-        fingerprint = self.store.store_study_result(
-            record,
-            report,
-            trace_records=executor.trace_records,
-            metrics_snapshot=(
-                metrics.snapshot() if metrics is not None else None
-            ),
-        )
-        progress = self.progress(record.job_id)
-        progress["archive_fingerprint"] = fingerprint
-        resolved = self._resolve(
-            record.job_id, started, JobState.COMPLETED, progress=progress
-        )
-        self._maybe_prune(resolved)
-
-    def _run_snapshots(
-        self,
-        record: JobRecord,
-        bus: ev.EventBus,
-        stop_event: threading.Event,
-        started: float,
-    ) -> None:
-        from repro.runtime.scheduler import LongitudinalScheduler
-
-        config = record.request.config
-        archive = str(self.store.archive_dir(record.job_id))
-        report = LongitudinalScheduler(
-            config.replace(
-                workers=self.config.workers,
-                backend="thread",
-                archive_dir=archive,
-                checkpoint_dir=archive,
-            ),
-            bus=bus,
-            stop_event=stop_event,
-            pool=self.pool,
-        ).run()
-        self.store.store_longitudinal_result(record, report)
-        progress = self.progress(record.job_id)
-        progress["snapshots_completed"] = len(report.snapshots)
-        if report.interrupted:
-            # The series stopped early; its completed prefix is stored,
-            # and the job re-queues to finish the remaining snapshots.
-            raise StudyInterrupted(
-                completed=len(report.snapshots),
-                remaining=config.snapshots - len(report.snapshots),
+        if series:
+            self.store.store_longitudinal_result(record, report)
+            progress = self.progress(record.job_id)
+            progress["snapshots_completed"] = len(report.snapshots)
+            if report.interrupted:
+                # The series stopped early; its completed prefix is
+                # stored, and the job re-queues to finish the rest.
+                raise StudyInterrupted(
+                    completed=len(report.snapshots),
+                    remaining=config.snapshots - len(report.snapshots),
+                )
+        else:
+            metrics = executor.metrics
+            fingerprint = self.store.store_study_result(
+                record,
+                report,
+                trace_records=executor.trace_records,
+                metrics_snapshot=(
+                    metrics.snapshot() if metrics is not None else None
+                ),
             )
+            progress = self.progress(record.job_id)
+            progress["archive_fingerprint"] = fingerprint
         resolved = self._resolve(
             record.job_id, started, JobState.COMPLETED, progress=progress
         )

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.archive import (
+    archive_fingerprint,
     merge_archives,
     read_study_archive,
     read_vantage_point_results,
@@ -137,6 +138,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown provider" in err
 
+    @pytest.mark.parametrize(
+        "series", [[], ["--snapshots", "2"]], ids=["one-shot", "series"]
+    )
+    def test_study_unknown_provider(self, series, capsys):
+        """Unknown names are refused before any world is built."""
+        argv = ["study", "--providers", "Seed4.me", "NoSuchVPN", *series]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if line.strip()]
+        assert line == (
+            "error: unknown provider(s): NoSuchVPN; see 'repro list'"
+        )
+
+    def test_fingerprint_of_no_archive_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        """A directory without ``*.json`` has no fingerprint, not the
+        hash of nothing."""
+        (tmp_path / "notes.txt").write_text("not an archive\n")
+        assert main(["archive", "fingerprint", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [ln for ln in captured.err.splitlines() if ln.strip()]
+        assert line.startswith("error: ")
+
     def test_audit_known_provider(self, capsys):
         assert main(["audit", "MyIP.io", "--max-vps", "2"]) == 0
         out = capsys.readouterr().out
@@ -166,3 +193,36 @@ class TestCli:
         assert "Traceback" not in err
         (line,) = [line for line in err.splitlines() if line.strip()]
         assert line.startswith("error: ")
+
+
+class TestSeriesCli:
+    """A snapshot series takes the one-shot study's flags."""
+
+    ARGS = ["study", "--providers", "Seed4.me", "--max-vps", "1"]
+
+    def test_streamed_series_archives_the_one_shot_snapshot(
+        self, tmp_path, capsys
+    ):
+        series = tmp_path / "series"
+        assert main([
+            *self.ARGS, "--snapshots", "2", "--stream",
+            "--archive", str(series),
+        ]) == 0
+        assert main([*self.ARGS, "--archive", str(tmp_path / "single")]) == 0
+        capsys.readouterr()
+        assert archive_fingerprint(series / "snapshot-00") == (
+            archive_fingerprint(tmp_path / "single")
+        )
+        assert (series / "snapshot-01" / "manifest.json").exists()
+
+    def test_series_with_ledger_and_dashboard(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        assert main([
+            *self.ARGS, "--snapshots", "2", "--ledger", str(ledger),
+            "--dashboard",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["ledger", "show", str(ledger), "--json"]) == 0
+        top = json.loads(capsys.readouterr().out)
+        assert top["finished"]
+        assert top["completed"] == top["total_units"] > 0

@@ -339,7 +339,7 @@ class TestDropSites:
         cache = SuiteCache()
         for shard in range(3):
             _shard_suite_cached(cache, 2018, source, shard, 3, {})
-        assert list(cache) == [1, 2]
+        assert list(cache) == [(0, 1), (0, 2)]
         assert world_refs[0]() is None
         assert world_refs[1]() is not None
         assert world_refs[2]() is not None
@@ -369,34 +369,36 @@ class TestDropSites:
             daemon.shutdown()
 
     def test_longitudinal_snapshot(self, world_refs, paused):
+        from repro.api import run_longitudinal_study
         from repro.config import StudyConfig
         from repro.runtime import events as ev
-        from repro.runtime.scheduler import LongitudinalScheduler
+        from repro.runtime.scheduler import snapshot_specs
 
-        alive_at_start: list[list[bool]] = []
+        config = StudyConfig(
+            seed=2018, snapshots=2, providers=PROVIDERS, max_vantage_points=1
+        )
+        # Seeds of the worlds alive when each snapshot's first unit starts.
+        alive_at_start: dict[str, list[int]] = {}
 
         def on_event(event) -> None:
-            if isinstance(event, ev.StudyStarted):
-                alive_at_start.append(
-                    [ref() is not None for ref in world_refs]
+            if isinstance(event, ev.UnitStarted):
+                label = event.unit_id.split("/")[0]
+                alive_at_start.setdefault(
+                    label,
+                    [ref().seed for ref in world_refs if ref() is not None],
                 )
 
         bus = ev.EventBus()
         bus.subscribe(on_event)
-        report = LongitudinalScheduler(
-            StudyConfig(
-                seed=2018,
-                snapshots=2,
-                providers=PROVIDERS,
-                max_vantage_points=1,
-            ),
-            bus=bus,
-        ).run()
+        report = run_longitudinal_study(config, bus=bus)
         assert len(report.snapshots) == 2
+        first, second = (spec.seed for spec in snapshot_specs(config))
+        # Snapshot 0's world is gone before snapshot 1's first unit
+        # starts, and every world is gone when the series returns.
+        assert first in alive_at_start["snapshot-00"]
+        assert first not in alive_at_start["snapshot-01"]
+        assert second in alive_at_start["snapshot-01"]
         assert len(world_refs) == 2
-        # Snapshot 0's world is gone before snapshot 1 starts, and the
-        # last snapshot's world is gone when the schedule returns.
-        assert alive_at_start == [[True], [False, True]]
         assert [ref() for ref in world_refs] == [None, None]
 
 

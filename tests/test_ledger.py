@@ -382,6 +382,20 @@ class TestTelemetrySideChannel:
         top = state_from_events(read_events(tmp_path / "ledger.jsonl")).top()
         assert top["peaks"]["shards_resident"] >= 2
 
+    def test_ledger_show_of_no_events_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        """A log in which no record names an event is no run of 0 units."""
+        from repro.cli import main
+
+        path = tmp_path / "other.jsonl"
+        path.write_text('{"unit": "a::full::b"}\n{"seq": 1}\n')
+        assert main(["ledger", "show", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [ln for ln in captured.err.splitlines() if ln.strip()]
+        assert line.startswith("error: ")
+
     def test_ledger_show_command(self, tmp_path, capsys):
         """``study --ledger`` keeps the metrics deltas ``ledger show`` needs.
 

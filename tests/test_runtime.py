@@ -482,15 +482,14 @@ class TestLeakageRetry:
 class TestLongitudinalScheduler:
     def test_snapshot_seeds_and_budgets(self):
         from repro.runtime.scheduler import (
-            LongitudinalScheduler,
             derive_snapshot_seed,
+            snapshot_specs,
         )
 
-        scheduler = LongitudinalScheduler(
+        specs = snapshot_specs(
             StudyConfig(seed=2018, snapshots=3, max_vantage_points=5),
             vantage_budgets=[None, 1, 3],
         )
-        specs = scheduler.schedule()
         assert [s.index for s in specs] == [0, 1, 2]
         assert specs[0].seed == 2018
         assert specs[1].seed == derive_snapshot_seed(2018, 1)
@@ -498,14 +497,12 @@ class TestLongitudinalScheduler:
         assert [s.max_vantage_points for s in specs] == [5, 1, 3]
 
     def test_rejects_bad_schedules(self):
-        from repro.runtime.scheduler import LongitudinalScheduler
+        from repro.runtime.scheduler import snapshot_specs
 
         with pytest.raises(ValueError):
             StudyConfig(snapshots=0)
         with pytest.raises(ValueError):
-            LongitudinalScheduler(
-                StudyConfig(snapshots=2), vantage_budgets=[1]
-            )
+            snapshot_specs(StudyConfig(snapshots=2), vantage_budgets=[1])
 
     def test_diff_verdicts_reports_changes(self):
         from repro.runtime.scheduler import diff_verdicts
@@ -529,12 +526,12 @@ class TestLongitudinalScheduler:
         assert "dns_leak_detected" in diff.changes[0].describe()
 
     def test_constant_schedule_is_stable_and_archives(self, tmp_path):
+        from repro.api import run_longitudinal_study
         from repro.core.archive import read_study_archive
-        from repro.runtime.scheduler import LongitudinalScheduler
 
         # reseed=False models pure re-measurement of a static ecosystem:
         # every diff must come out empty.
-        scheduler = LongitudinalScheduler(
+        report = run_longitudinal_study(
             StudyConfig(
                 seed=2018, snapshots=2, providers=["Mullvad"],
                 max_vantage_points=1,
@@ -542,7 +539,6 @@ class TestLongitudinalScheduler:
             ),
             vantage_budgets=[1, 1],
         )
-        report = scheduler.run()
         assert len(report.snapshots) == 2
         assert report.is_stable
         for label in ("snapshot-00", "snapshot-01"):
@@ -550,50 +546,134 @@ class TestLongitudinalScheduler:
             assert archived.providers == ["Mullvad"]
         assert "2 snapshot(s)" in report.summary()
 
-    def test_generated_series_plans_its_source_on_its_shards(
-        self, tmp_path, monkeypatch
+    def test_constant_schedule_snapshots_archive_equal_bytes(
+        self, tmp_path
     ):
-        """Every snapshot audits the config's source on its shards, and
-        snapshot 0 writes the one-shot study's archive."""
+        """Snapshots that share a seed re-measure on worlds of their own:
+        a unit run again on its world would probe with new DNS-origin
+        tags, so a shared world would move the second archive's bytes."""
+        from repro.api import run_longitudinal_study
+
+        report = run_longitudinal_study(StudyConfig(
+            seed=2018, snapshots=2, providers=["Mullvad"],
+            max_vantage_points=1, archive_dir=str(tmp_path), reseed=False,
+        ))
+        first, second = (s.archive_dir for s in report.snapshots)
+        assert archive_fingerprint(first) == archive_fingerprint(second)
+
+    def test_generated_series_plans_its_source_on_its_shards(self, tmp_path):
+        """Every snapshot audits the config's source on its shards, the
+        series is one study of both snapshots' units, and snapshot 0
+        writes the one-shot study's archive."""
         from repro.api import run_full_study, run_longitudinal_study
         from repro.source import StudySource
 
         source = StudySource.generated(3, generator_seed=7, vantage_points=2)
         stop = threading.Event()
-        planned: list[int] = []
+        started: list[ev.StudyStarted] = []
         shards: set[int] = set()
 
         def record(event) -> None:
             if isinstance(event, ev.StudyStarted):
-                planned.append(event.providers)
+                started.append(event)
                 if event.providers != 3:
                     stop.set()  # the wrong population: stop before any unit
             elif isinstance(event, ev.UnitStarted):
                 shards.add(event.shard)
 
-        class RecordedBus(ev.EventBus):
-            def __init__(self) -> None:
-                super().__init__()
-                self.subscribe(record)
-
+        bus = ev.EventBus()
+        bus.subscribe(record)
         config = StudyConfig(
             seed=2018, source=source, shards=2, snapshots=2,
             max_vantage_points=1, archive_dir=str(tmp_path / "snaps"),
         )
-        with monkeypatch.context() as patch:
-            # The series builds one bus per snapshot executor.
-            patch.setattr(ev, "EventBus", RecordedBus)
-            report = run_longitudinal_study(config, stop_event=stop)
-        assert planned == [3, 3]
+        report = run_longitudinal_study(config, stop_event=stop, bus=bus)
+        one_shot: list[ev.StudyStarted] = []
+        single_bus = ev.EventBus()
+        single_bus.subscribe(
+            lambda e: one_shot.append(e)
+            if isinstance(e, ev.StudyStarted)
+            else None
+        )
+        single = run_full_study(
+            config.replace(snapshots=1, archive_dir=None), bus=single_bus
+        )
+        # One StudyStarted, carrying both snapshots' units.
+        assert [e.providers for e in started] == [3]
+        assert started[0].total_units == 2 * one_shot[0].total_units
         assert shards == {0, 1}
         assert not report.interrupted
         names = source.provider_names(2018)
         for snapshot in report.snapshots:
             assert sorted(snapshot.verdicts) == sorted(names)
-        single = run_full_study(config.replace(snapshots=1, archive_dir=None))
         assert fingerprint(single, tmp_path / "single") == archive_fingerprint(
             tmp_path / "snaps" / "snapshot-00"
         )
+
+    def test_series_folds_as_one_study(self):
+        """One fold over a 3-snapshot series: one start, never more units
+        completed than planned, and ``finished`` set once, at the end."""
+        from repro.api import run_longitudinal_study
+        from repro.runtime.dashboard import DashboardState
+
+        fold = DashboardState()
+        seen: list[tuple[str, int, int, bool]] = []
+
+        def check(event) -> None:
+            # Subscribed after the fold, so it reads the folded state.
+            seen.append((
+                type(event).__name__,
+                fold.stats.completed_units,
+                fold.stats.total_units,
+                fold.finished,
+            ))
+
+        bus = ev.EventBus()
+        bus.subscribe(fold)
+        bus.subscribe(check)
+        report = run_longitudinal_study(
+            StudyConfig(
+                seed=2018, providers=("Seed4.me",), max_vantage_points=2,
+                snapshots=3,
+            ),
+            bus=bus,
+        )
+        assert len(report.snapshots) == 3
+        names = [name for name, *_ in seen]
+        assert names.count("StudyStarted") == 1
+        assert names.count("StudyFinished") == 1
+        finished_units = [
+            (done, total) for name, done, total, _ in seen
+            if name == "UnitFinished"
+        ]
+        assert finished_units
+        assert all(done <= total for done, total in finished_units)
+        assert finished_units[-1][0] == finished_units[-1][1]
+        assert [finished for *_, finished in seen] == (
+            [False] * (len(seen) - 1) + [True]
+        )
+        assert names[-1] == "StudyFinished"
+
+    def test_traced_series_writes_the_one_shot_trace_per_snapshot(
+        self, tmp_path
+    ):
+        from repro.api import run_full_study, run_longitudinal_study
+        from repro.obs.config import ObsConfig
+
+        config = StudyConfig(
+            seed=2018, providers=("Seed4.me",), max_vantage_points=2,
+            snapshots=2,
+            obs=ObsConfig(trace=True, trace_path=str(tmp_path / "s.jsonl")),
+        )
+        run_longitudinal_study(config)
+        run_full_study(config.replace(
+            snapshots=1,
+            obs=ObsConfig(trace=True, trace_path=str(tmp_path / "one.jsonl")),
+        ))
+        first = (tmp_path / "s.jsonl.snapshot-00").read_bytes()
+        assert first == (tmp_path / "one.jsonl").read_bytes()
+        assert (tmp_path / "s.jsonl.snapshot-01").read_bytes() != first
+        assert not (tmp_path / "s.jsonl").exists()
 
     def test_verdict_map_covers_all_fields(self, small_study):
         from repro.runtime.scheduler import VERDICT_FIELDS, verdict_map

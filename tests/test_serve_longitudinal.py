@@ -3,7 +3,7 @@
 A snapshot series is the job type most exposed to service-level hazards:
 a tick can fire while the previous one still runs (must dedup, not pile
 up), a drain can land between or inside snapshots (the completed prefix
-must persist and the job must resume), and the scheduler must honour the
+must persist and the job must resume), and the series must honour the
 stop event both between snapshots and mid-snapshot.
 """
 
@@ -50,26 +50,41 @@ def _daemon(tmp_path, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# The scheduler directly: stop semantics
+# The series directly: stop semantics
 # ----------------------------------------------------------------------
+def _stop_after_snapshot_0(bus, stop, checkpoint):
+    """Set *stop* at the last ``UnitFinished`` of snapshot 0; its plan
+    pin in *checkpoint* says how many units it has."""
+    from repro.runtime import events as ev
+    from repro.runtime.units import StudyPlan
+
+    finished = []
+
+    def on_event(event) -> None:
+        if isinstance(event, ev.UnitFinished) and event.unit_id.startswith(
+            "snapshot-00/"
+        ):
+            finished.append(event.unit_id)
+            pin = (checkpoint / "snapshot-00" / "plan.pin").read_text()
+            if len(finished) == len(StudyPlan.from_json(pin).units):
+                stop.set()
+
+    bus.subscribe(on_event)
+
+
 class TestSchedulerStop:
     def test_stop_between_snapshots_keeps_completed_prefix(self, tmp_path):
+        from repro.api import run_longitudinal_study
         from repro.runtime import events as ev
-        from repro.runtime.scheduler import LongitudinalScheduler
 
         stop = threading.Event()
         bus = ev.EventBus()
-        bus.subscribe(
-            lambda e: stop.set()
-            if isinstance(e, ev.StudyFinished)
-            else None
-        )
-        scheduler = LongitudinalScheduler(
+        _stop_after_snapshot_0(bus, stop, tmp_path / "ckpt")
+        report = run_longitudinal_study(
             _series_config(snapshots=3, checkpoint_dir=str(tmp_path / "ckpt")),
             bus=bus,
             stop_event=stop,
         )
-        report = scheduler.run()
         assert report.interrupted
         assert len(report.snapshots) == 1
         # Round-trip: what the store persists is reconstructible.
@@ -82,19 +97,19 @@ class TestSchedulerStop:
         assert "[interrupted]" in report.summary()
 
     def test_preset_stop_yields_empty_interrupted_report(self):
-        from repro.runtime.scheduler import LongitudinalScheduler
+        from repro.api import run_longitudinal_study
 
         stop = threading.Event()
         stop.set()
-        report = LongitudinalScheduler(_series_config(), stop_event=stop).run()
+        report = run_longitudinal_study(_series_config(), stop_event=stop)
         assert report.interrupted
         assert report.snapshots == []
 
     def test_mid_snapshot_stop_marks_interrupted(self, tmp_path):
         """A stop landing inside a snapshot (not between) must surface as
         an interrupted report with the partial snapshot's units committed."""
+        from repro.api import run_longitudinal_study
         from repro.runtime import events as ev
-        from repro.runtime.scheduler import LongitudinalScheduler
 
         stop = threading.Event()
         bus = ev.EventBus()
@@ -103,12 +118,11 @@ class TestSchedulerStop:
             if isinstance(e, ev.UnitFinished)
             else None
         )
-        scheduler = LongitudinalScheduler(
+        report = run_longitudinal_study(
             _series_config(checkpoint_dir=str(tmp_path / "ckpt")),
             bus=bus,
             stop_event=stop,
         )
-        report = scheduler.run()
         assert report.interrupted
         assert report.snapshots == []  # snapshot 1 never finished
         journal = tmp_path / "ckpt" / "snapshot-00" / "units.jsonl"
@@ -117,30 +131,26 @@ class TestSchedulerStop:
     def test_interrupted_series_resumes_from_snapshot_checkpoints(
         self, tmp_path
     ):
+        from repro.api import run_longitudinal_study
         from repro.runtime import events as ev
         from repro.runtime.dashboard import DashboardState
-        from repro.runtime.scheduler import LongitudinalScheduler
 
         stop = threading.Event()
         bus = ev.EventBus()
-        bus.subscribe(
-            lambda e: stop.set()
-            if isinstance(e, ev.StudyFinished)
-            else None
-        )
+        _stop_after_snapshot_0(bus, stop, tmp_path / "ckpt")
         config = _series_config(checkpoint_dir=str(tmp_path / "ckpt"))
-        LongitudinalScheduler(config, bus=bus, stop_event=stop).run()
+        run_longitudinal_study(config, bus=bus, stop_event=stop)
 
         resumed_bus = ev.EventBus()
         stats = DashboardState()
         resumed_bus.subscribe(stats)
-        report = LongitudinalScheduler(config, bus=resumed_bus).run()
+        report = run_longitudinal_study(config, bus=resumed_bus)
         assert not report.interrupted
         assert len(report.snapshots) == 2
-        # Snapshot 1's units came from its checkpoint, not re-execution.
+        # Snapshot 0's units came from its checkpoint, not re-execution.
         assert stats.stats.skipped_units >= 2
 
-        clean = LongitudinalScheduler(_series_config()).run()
+        clean = run_longitudinal_study(_series_config())
         assert [s.verdicts for s in report.snapshots] == (
             [s.verdicts for s in clean.snapshots]
         )
@@ -165,6 +175,25 @@ class TestSeriesJobs:
             assert len(report["snapshots"]) == 2
             assert report["interrupted"] is False
             assert [s["index"] for s in report["snapshots"]] == [0, 1]
+        finally:
+            daemon.shutdown()
+
+    def test_series_job_top_reads_the_series_total(self, tmp_path):
+        """A served series is one study: its fold counts every snapshot's
+        units against one total, with resource samples beside them."""
+        from repro.serve.client import ServeClient
+
+        daemon = _daemon(tmp_path, sample_interval_s=0.05)
+        try:
+            client = ServeClient(daemon.endpoint)
+            job_id = client.submit(_series_request(snapshots=3)).job_id
+            final = client.wait(job_id, timeout_s=300)
+            assert final.record.state.value == "completed"
+            top = client.top(job_id)
+            assert top["finished"]
+            assert top["completed"] == top["total_units"]
+            assert top["total_units"] == final.progress["total_units"]
+            assert top["resources"]
         finally:
             daemon.shutdown()
 
