@@ -462,32 +462,23 @@ def cmd_list() -> int:
     return 0
 
 
-def _unknown_providers(names: Sequence[str]) -> bool:
-    """Print one error line naming the *names* not in the catalogue."""
-    from repro.vpn.catalog import catalog_names
-
-    unknown = [name for name in names if name not in catalog_names()]
-    if unknown:
-        print(f"error: unknown provider(s): {', '.join(unknown)}; "
-              f"see 'repro list'", file=sys.stderr)
-    return bool(unknown)
+def _error(message: str) -> int:
+    """Print one ``error:`` line for bad input; the exit status is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def cmd_audit(provider: str, max_vps: int, seed: int) -> int:
     from repro.api import audit_provider
     from repro.config import StudyConfig
 
-    if _unknown_providers([provider]):
-        return 2
     try:
-        report = audit_provider(
-            provider,
-            config=StudyConfig(seed=seed, max_vantage_points=max_vps),
+        config = StudyConfig(
+            seed=seed, providers=(provider,), max_vantage_points=max_vps
         )
-    except ValueError as exc:  # an out-of-range flag (--max-vps 0)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(report.summary())
+    except ValueError as exc:  # an unknown name, --max-vps 0
+        return _error(str(exc))
+    print(audit_provider(provider, config=config).summary())
     return 0
 
 
@@ -578,8 +569,7 @@ def cmd_study(
     except (CheckpointMismatchError, ArchiveReadError) as exc:
         # --resume or --stream --archive named another study's directory
         # (nothing ran), or a streamed archive lost a unit's bytes under it.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
@@ -627,7 +617,7 @@ def cmd_study(
 
 
 def _load_trace(file: str):
-    """Read a trace for the CLI; None (after a stderr message) on failure.
+    """Read a trace for the CLI; None (after an ``error:`` line) on failure.
 
     ``read_trace`` already skips corrupt lines with warnings; the command
     only fails when nothing at all parsed.
@@ -637,10 +627,10 @@ def _load_trace(file: str):
     try:
         records = read_trace(file)
     except OSError as exc:
-        print(f"cannot read trace {file!r}: {exc}", file=sys.stderr)
+        _error(f"cannot read trace {file!r}: {exc}")
         return None
     if not records:
-        print(f"no trace records parsed from {file!r}", file=sys.stderr)
+        _error(f"no trace records parsed from {file!r}")
         return None
     return records
 
@@ -682,8 +672,7 @@ def cmd_trace(args) -> int:
         try:
             matches = query_trace(records, args.expression)
         except ValueError as exc:
-            print(f"bad query: {exc}", file=sys.stderr)
-            return 2
+            return _error(f"bad query: {exc}")
         for record in matches:
             print(json.dumps(record, sort_keys=True, separators=(",", ":")))
         print(
@@ -704,14 +693,12 @@ def cmd_report_explain(
     from repro.config import StudyConfig
 
     try:
-        report, trace_records = explain_provider(
-            provider,
-            config=StudyConfig(seed=seed, max_vantage_points=max_vps),
+        config = StudyConfig(
+            seed=seed, providers=(provider,), max_vantage_points=max_vps
         )
-    except KeyError:
-        print(f"unknown provider {provider!r}; see 'repro list'",
-              file=sys.stderr)
-        return 2
+    except ValueError as exc:  # an unknown name, --max-vps 0
+        return _error(str(exc))
+    report, trace_records = explain_provider(provider, config=config)
     if as_json:
         # The same serialization path the audit service stores and the
         # HTTP API serves — one schema for humans' scripts everywhere.
@@ -762,8 +749,7 @@ def cmd_serve(args) -> int:
             keep_checkpoints=args.keep_checkpoints,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     log = None if args.quiet else (
         lambda message: print(f"repro-serve: {message}", file=sys.stderr)
     )
@@ -806,16 +792,15 @@ def cmd_client(args) -> int:
     import json
 
     from repro.serve.client import ServeClient, ServeError
-    from repro.serve.protocol import JobState, ProtocolError
+    from repro.serve.protocol import JobState
 
     client = ServeClient(args.endpoint)
     try:
         if args.client_cmd == "submit":
             try:
                 request = _submit_request(args)
-            except ProtocolError as exc:
-                print(f"bad job: {exc}", file=sys.stderr)
-                return 2
+            except ValueError as exc:  # a ProtocolError, or a config field
+                return _error(f"bad job: {exc}")
             reply = client.submit(request)
             if reply.deduplicated:
                 print(
@@ -915,8 +900,7 @@ def cmd_client(args) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     except ServeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _error(str(exc))
     return 2  # pragma: no cover
 
 
@@ -929,20 +913,15 @@ def cmd_ledger_show(file: str, as_json: bool = False) -> int:
     try:
         records = read_events(file)
     except OSError as exc:
-        print(f"cannot read ledger {file!r}: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"cannot read ledger {file!r}: {exc}")
     if not records:
-        print(f"no ledger records parsed from {file!r}", file=sys.stderr)
-        return 2
+        return _error(f"no ledger records parsed from {file!r}")
     try:
         top = state_from_events(records).top()
     except ValueError as exc:  # a record naming an event, in another shape
-        print(f"bad ledger record in {file!r}: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"bad ledger record in {file!r}: {exc}")
     if not any(event_from_dict(record) for record in records):
-        print(f"error: no record in {file!r} names a run event",
-              file=sys.stderr)
-        return 2
+        return _error(f"no record in {file!r} names a run event")
     if as_json:
         print(json.dumps(top, indent=2, sort_keys=True))
     else:
@@ -956,8 +935,7 @@ def cmd_checkpoint_prune(path: str) -> int:
 
     root = pathlib.Path(path)
     if not root.exists():
-        print(f"error: no such directory: {path}", file=sys.stderr)
-        return 2
+        return _error(f"no such directory: {path}")
     if (root / "jobs").is_dir():
         # A serve state directory: prune every *finished* job's
         # checkpoint, leave queued/running jobs resumable.
@@ -973,8 +951,7 @@ def cmd_checkpoint_prune(path: str) -> int:
 
     count = CheckpointStore(root).prune()
     if not count:
-        print(f"error: not a checkpoint: {path}", file=sys.stderr)
-        return 2
+        return _error(f"not a checkpoint: {path}")
     print(f"pruned {count} file(s) from {path}")
     return 0
 
@@ -986,12 +963,9 @@ def cmd_archive_fingerprint(path: str) -> int:
 
     root = pathlib.Path(path)
     if not root.is_dir():
-        print(f"no such directory: {path}", file=sys.stderr)
-        return 2
+        return _error(f"no such directory: {path}")
     if not any(root.rglob("*.json")):  # not the hash of nothing
-        print(f"error: no archive files (*.json) under {path}",
-              file=sys.stderr)
-        return 2
+        return _error(f"no archive files (*.json) under {path}")
     print(archive_fingerprint(root))
     return 0
 
@@ -1032,8 +1006,7 @@ def cmd_ecosystem_generate(args) -> int:
             vantage_points=args.vantage_points,
         )
     except ValueError as exc:
-        print(f"bad generated ecosystem: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"bad generated ecosystem: {exc}")
     out = pathlib.Path(args.out)
     if out.is_dir() or not out.suffix:
         out = out / "ecosystem-spec.json"
@@ -1075,10 +1048,11 @@ def cmd_guide(providers: list[str], seed: int) -> int:
     from repro.config import StudyConfig
     from repro.core.scoring import build_selection_guide
 
-    names = providers or _GUIDE_DEFAULTS
-    if _unknown_providers(names):
-        return 2
-    study = run_full_study(StudyConfig(seed=seed, providers=names))
+    try:
+        config = StudyConfig(seed=seed, providers=providers or _GUIDE_DEFAULTS)
+    except ValueError as exc:  # an unknown name
+        return _error(str(exc))
+    study = run_full_study(config)
     guide = build_selection_guide(study)
     print(guide.render())
     return 0
@@ -1096,13 +1070,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.source import StudySource
 
         if args.source and args.providers:
-            print("pass --source or --providers, not both", file=sys.stderr)
-            return 2
+            return _error("pass --source or --providers, not both")
         if args.stream and not args.archive:
-            print("--stream requires --archive", file=sys.stderr)
-            return 2
-        if _unknown_providers(args.providers or ()):
-            return 2
+            return _error("--stream requires --archive")
         ledger_path = args.ledger
         if ledger_path == "auto":
             # "Alongside the archive": .jsonl, so the archive fingerprint
@@ -1118,8 +1088,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 source = StudySource.parse(args.source)
             except ValueError as exc:
-                print(f"bad --source: {exc}", file=sys.stderr)
-                return 2
+                return _error(f"bad --source: {exc}")
         try:
             config = StudyConfig(
                 seed=args.seed,
@@ -1148,9 +1117,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ),
             )
         except ValueError as exc:
-            # An out-of-range flag (--workers 0, --stage-sample 0, ...).
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            # An unknown name, an out-of-range flag (--workers 0, ...).
+            return _error(str(exc))
         return cmd_study(
             config,
             args.archive,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.obs.config import ObsConfig
-from repro.source import StudySource
+from repro.source import StudySource, check_catalog_names
 
 _BACKENDS = ("thread", "process")
 
@@ -68,6 +68,8 @@ class StudyConfig:
             object.__setattr__(self, "providers", tuple(self.providers))
         if self.providers is not None and self.source is not None:
             raise ValueError("pass providers= or source=, not both")
+        if self.providers is not None:
+            check_catalog_names(self.providers)
         if self.source is not None and not isinstance(
             self.source, StudySource
         ):

@@ -10,8 +10,8 @@ config equality/hashing.
 The cardinal rule is that a fully disabled config costs nothing: when
 ``enabled`` is False no :class:`~repro.obs.session.Observability` object is
 built at all, so every instrumentation site in the packet hot path pays
-exactly one attribute load and ``None`` check — measured in
-``benchmarks/bench_hot_path.py`` and gated at <= 3% in CI.
+exactly one attribute load and ``None`` check, and no call: the golden
+study's pinned call count (``tests/test_determinism.py``) holds it.
 """
 
 from __future__ import annotations
@@ -102,18 +102,3 @@ class ObsConfig:
         from repro.obs.session import Observability
 
         return Observability(self, seed=seed)
-
-    @classmethod
-    def disabled(cls) -> "ObsConfig":
-        return cls()
-
-    @classmethod
-    def full(cls, trace_path: Optional[str] = None,
-             flight_recorder: int = 64) -> "ObsConfig":
-        """Everything on — the ``--trace --metrics --flight-recorder`` CLI."""
-        return cls(
-            trace=True,
-            trace_path=trace_path,
-            metrics=True,
-            flight_recorder=flight_recorder,
-        )

@@ -3,8 +3,8 @@
 The delivery stages are frames of the one profiler in
 :mod:`repro.obs.profile`, which owns the stage taxonomy, the fold and
 the table.  This module only keeps ``repro.obs.stages.stage_breakdown``
-importable for the benchmark scripts that read stage rows by that path
-(``perfbench/layers.py``, ``benchmarks/bench_stages.py``).
+importable for ``perfbench/layers.py``, which reads stage rows by that
+path.
 """
 
 from repro.obs.profile import stage_breakdown

@@ -49,6 +49,18 @@ MAX_GENERATED_VANTAGE_POINTS = 96
 MAX_GENERATED_PROVIDERS = 60000
 
 
+def check_catalog_names(names: Sequence[str]) -> None:
+    """Refuse a provider list that names anything outside the catalogue."""
+    from repro.vpn.catalog import catalog_names
+
+    known = set(catalog_names())
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(
+            f"unknown provider(s): {', '.join(unknown)}; see 'repro list'"
+        )
+
+
 @dataclass(frozen=True)
 class StudySource:
     """Where a study's providers come from.
@@ -80,6 +92,7 @@ class StudySource:
                 raise ValueError(
                     "an explicit source needs at least one provider name"
                 )
+            check_catalog_names(self.providers)
         elif self.providers is not None:
             raise ValueError(
                 f"a {self.kind!r} source takes no provider list"

@@ -152,6 +152,18 @@ class TestCli:
             "error: unknown provider(s): NoSuchVPN; see 'repro list'"
         )
 
+    def test_program_error_in_a_run_is_not_bad_input(self, monkeypatch):
+        """No handler wraps a run: a ``KeyError`` raised in assembly
+        escapes ``report explain`` instead of reading as a bad name."""
+        from repro.core.harness import TestSuite
+
+        def broken(*args, **kwargs):
+            raise KeyError("assembly bug")
+
+        monkeypatch.setattr(TestSuite, "assemble_provider_from_plan", broken)
+        with pytest.raises(KeyError, match="assembly bug"):
+            main(["report", "explain", "Seed4.me", "--max-vps", "1"])
+
     def test_fingerprint_of_no_archive_is_one_error_line(
         self, tmp_path, capsys
     ):
@@ -184,10 +196,81 @@ class TestCli:
                 ["audit", "MyIP.io", "--max-vps", "0"],
                 id="audit --max-vps 0",
             ),
+            pytest.param(
+                ["study", "--source", "catalog", "--providers", "Seed4.me"],
+                id="--source and --providers",
+            ),
+            pytest.param(
+                ["study", "--providers", "Seed4.me", "--stream"],
+                id="--stream without --archive",
+            ),
+            pytest.param(
+                ["study", "--source", "generated:x"], id="bad --source",
+            ),
+            pytest.param(
+                ["study", "--source", "garbage:1", "--max-vps", "1"],
+                id="--source garbage:1",
+            ),
+            pytest.param(
+                ["study", "--source", "NoSuchVPN"], id="--source NoSuchVPN",
+            ),
+            pytest.param(
+                ["report", "explain", "NoSuchVPN"],
+                id="report explain NoSuchVPN",
+            ),
+            pytest.param(
+                ["guide", "Seed4.me", "NoSuchVPN"], id="guide NoSuchVPN",
+            ),
+            pytest.param(
+                ["trace", "summarize", "{tmp}/missing.jsonl"],
+                id="trace of no file",
+            ),
+            pytest.param(
+                ["trace", "summarize", "{tmp}/empty.jsonl"],
+                id="trace of no records",
+            ),
+            pytest.param(
+                ["trace", "query", "kind", "{tmp}/trace.jsonl"],
+                id="bad trace query",
+            ),
+            pytest.param(
+                ["client", "submit", "study", "--providers", "NoSuchVPN"],
+                id="bad job",
+            ),
+            pytest.param(
+                ["ledger", "show", "{tmp}/missing.jsonl"],
+                id="ledger of no file",
+            ),
+            pytest.param(
+                ["ledger", "show", "{tmp}/empty.jsonl"],
+                id="ledger of no records",
+            ),
+            pytest.param(
+                ["ledger", "show", "{tmp}/ledger.jsonl"],
+                id="bad ledger record",
+            ),
+            pytest.param(
+                ["archive", "fingerprint", "{tmp}/missing"],
+                id="fingerprint of no directory",
+            ),
+            pytest.param(
+                ["ecosystem", "generate", "--providers", "0",
+                 "--out", "{tmp}/spec.json"],
+                id="bad generated ecosystem",
+            ),
         ],
         ids=lambda argv: " ".join(argv[-2:]),
     )
-    def test_out_of_range_flag_is_one_error_line(self, argv, capsys):
+    def test_out_of_range_flag_is_one_error_line(
+        self, argv, tmp_path, capsys
+    ):
+        """Bad input, flags and files alike, is one ``error:`` line."""
+        (tmp_path / "empty.jsonl").write_text("")
+        (tmp_path / "trace.jsonl").write_text('{"kind": "span"}\n')
+        (tmp_path / "ledger.jsonl").write_text(
+            '{"event": "UnitFinished", "unit_id": "u0"}\n'
+        )
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err

@@ -5,7 +5,16 @@ and the stochastic components must be stable functions of their seeds —
 this is what makes the EXPERIMENTS.md numbers re-derivable.
 """
 
+import functools
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 # SHA-256 over the golden study archive (seed=2018, providers below,
 # max_vantage_points=2), as computed by
@@ -46,6 +55,123 @@ GOLDEN_STAGE_COUNTS = {
     "stage.sampled.route": 3020,
     "stage.sampled.send": 3020,
 }
+# The golden study's cost: the calls its units make into repro's own
+# code, run inline (``workers=1``, ``obs=ObsConfig()``).  Wall time on a
+# shared machine measures the host; this count is exact under every hash
+# seed, so work added to or removed from a unit moves it by exactly that
+# work.  It differs between CPython minor versions (3.12 inlines
+# comprehensions), so the base count has one pin per minor version.  A
+# change that moves a count updates its pin here, and CHANGES.md records
+# the old and new values and why they moved.
+GOLDEN_UNIT_CALLS = {
+    (3, 10): 1_756_749,
+    (3, 11): 1_756_749,
+    (3, 12): 1_734_264,
+    (3, 13): 1_730_517,
+}
+# The calls each profiler adds to that count, the same on every version.
+GOLDEN_PROFILER_CALLS = {"profile": 199_027, "stage_profile": 536_781}
+
+# Runs in a fresh interpreter (``python -c``), because lazy imports and
+# process-wide caches warmed by earlier tests would change the count.  A
+# profile hook armed around ``TestSuite.run_unit`` counts ``call`` events
+# in code under the ``repro`` package or in ``<string>``: the methods
+# ``dataclasses`` generates for repro's records, and the functions
+# defined here.  Standard-library frames are left out, because their
+# number differs between interpreters.  ``wrap_deliver`` routes every
+# ``Internet.deliver`` through one more ``<string>`` function, and counts
+# the deliveries made while the hook is armed.
+_COUNT_UNIT_CALLS = r"""
+import json, os, sys
+
+import repro
+from repro.core.harness import TestSuite
+from repro.net.internet import Internet
+from repro.obs.config import ObsConfig
+from repro.runtime.executor import StudyExecutor
+
+spec = json.loads(sys.argv[1])
+package = os.path.dirname(repro.__file__) + os.sep
+own = {}
+calls = deliveries = 0
+
+
+def hook(frame, event, arg):
+    global calls
+    if event == "call":
+        filename = frame.f_code.co_filename
+        mine = own.get(filename)
+        if mine is None:
+            mine = own[filename] = (
+                filename == "<string>" or filename.startswith(package)
+            )
+        calls += mine
+
+
+run_unit = TestSuite.run_unit
+
+
+def counted_run_unit(suite, unit):
+    sys.setprofile(hook)
+    try:
+        return run_unit(suite, unit)
+    finally:
+        sys.setprofile(None)
+
+
+TestSuite.run_unit = counted_run_unit
+if spec["wrap_deliver"]:
+    deliver = Internet.deliver
+
+    def wrapped_deliver(self, packet, source):
+        global deliveries
+        deliveries += sys.getprofile() is not None
+        return deliver(self, packet, source)
+
+    Internet.deliver = wrapped_deliver
+StudyExecutor(
+    seed=2018,
+    providers=spec["providers"],
+    max_vantage_points=spec["max_vps"],
+    workers=1,
+    obs=ObsConfig(**spec["obs"]),
+).run()
+print(json.dumps({"calls": calls, "deliveries": deliveries}))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_calls(
+    obs: str = "",
+    providers: tuple = tuple(GOLDEN_STUDY_PROVIDERS),
+    max_vps: int = 2,
+    wrap_deliver: bool = False,
+) -> dict:
+    """``{"calls", "deliveries"}`` of one inline study in a fresh process;
+    *obs* names the one ``ObsConfig`` flag to set, if any."""
+    spec = {
+        "providers": list(providers),
+        "max_vps": max_vps,
+        "obs": {obs: True} if obs else {},
+        "wrap_deliver": wrap_deliver,
+    }
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", _COUNT_UNIT_CALLS, json.dumps(spec)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+def _moved(what: str, measured: int, pin: int) -> str:
+    return (
+        f"{what}: measured {measured:,} calls, pinned {pin:,} "
+        f"({measured - pin:+,}); a change that moves the count updates "
+        f"its pin and records both values in CHANGES.md"
+    )
 
 
 class TestWorldDeterminism:
@@ -385,3 +511,33 @@ class TestWorldDeterminism:
         assert [p.claimed_server_count for p in default] != [
             p.claimed_server_count for p in other
         ]
+
+
+class TestUnitCallCount:
+    """The golden study's cost, gated as an exact number of calls."""
+
+    def test_golden_units_make_the_pinned_number_of_calls(self):
+        measured = _unit_calls()["calls"]
+        version = sys.version_info[:2]
+        if version not in GOLDEN_UNIT_CALLS:
+            pytest.skip(
+                f"no pin for Python {version[0]}.{version[1]}: "
+                f"measured {measured:,} calls"
+            )
+        pin = GOLDEN_UNIT_CALLS[version]
+        assert measured == pin, _moved("golden units", measured, pin)
+
+    @pytest.mark.parametrize("obs", sorted(GOLDEN_PROFILER_CALLS))
+    def test_profiler_adds_the_pinned_number_of_calls(self, obs):
+        added = _unit_calls(obs)["calls"] - _unit_calls()["calls"]
+        pin = GOLDEN_PROFILER_CALLS[obs]
+        assert added == pin, _moved(f"ObsConfig({obs}=True)", added, pin)
+
+    def test_one_more_call_per_delivery_moves_the_count(self):
+        """The gate can fail: one added call per delivery adds exactly
+        that many calls to the count."""
+        small = {"providers": ("Seed4.me",), "max_vps": 1}
+        plain = _unit_calls(**small)
+        wrapped = _unit_calls(**small, wrap_deliver=True)
+        assert wrapped["deliveries"] > 0
+        assert wrapped["calls"] - plain["calls"] == wrapped["deliveries"]

@@ -497,6 +497,17 @@ class TestServeTop:
             client.top("job-99999-zz")
         assert excinfo.value.status == 404
 
+    def test_client_error_reply_is_one_error_line(self, daemon, capsys):
+        from repro.cli import main
+
+        assert main([
+            "client", "--endpoint", daemon.endpoint, "top", "job-99999-zz",
+        ]) == 2
+        err = capsys.readouterr().err
+        (line,) = [ln for ln in err.splitlines() if ln.strip()]
+        assert line.startswith("error: ")
+        assert "HTTP 404" in line
+
     def test_client_top_renders_same_numbers(self, daemon, capsys):
         from repro.cli import main
 

@@ -162,7 +162,7 @@ class TestStudySource:
         from repro.source import StudySource
 
         assert StudySource.catalog().plan_key() is None
-        assert StudySource.explicit(["A"]).plan_key() is None
+        assert StudySource.explicit(["Seed4.me"]).plan_key() is None
         generated = StudySource.generated(10, generator_seed=4)
         assert generated.plan_key() == generated.cache_key()
         # Different parameters -> different identity.
@@ -184,7 +184,7 @@ class TestStudySource:
         assert back == config
         assert back.source.count == 300
         with pytest.raises(ValueError):
-            StudyConfig(providers=["A"], source=StudySource.catalog())
+            StudyConfig(providers=["Seed4.me"], source=StudySource.catalog())
         with pytest.raises(ValueError):
             StudyConfig(stream=True)  # stream needs archive_dir
 

@@ -123,8 +123,8 @@ class TestProtocol:
 
 _CONFIG = {"providers": ["Seed4.me"], "max_vantage_points": 1}
 
-#: Submissions whose values have the wrong JSON type, and the field each
-#: rejection must name.
+#: Submissions that do not parse (a value of the wrong JSON type, a
+#: provider name outside the catalogue), and what each rejection must name.
 MISTYPED_SUBMISSIONS = {
     "priority-string": (
         {"kind": "study", "config": _CONFIG, "priority": "high"}, "priority"
@@ -143,6 +143,10 @@ MISTYPED_SUBMISSIONS = {
     ),
     "label-list": (
         {"kind": "study", "config": _CONFIG, "label": ["x"]}, "label"
+    ),
+    "providers-unknown": (
+        {"kind": "study", "config": {"providers": ["NoSuchVPN"]}},
+        "NoSuchVPN",
     ),
 }
 
