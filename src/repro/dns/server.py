@@ -110,8 +110,6 @@ class RecursiveResolverServer(_DnsServiceBase):
 
     ``manipulation`` lets a VPN provider's resolver rewrite answers — the
     behaviour the DNS-manipulation test (Section 5.3.1) is designed to catch.
-    ``query_log`` records every (question, source) pair, which the
-    recursive-origin analysis consumes.
     """
 
     def __init__(
@@ -129,14 +127,8 @@ class RecursiveResolverServer(_DnsServiceBase):
         # own source" — right for VPN resolvers, whose recursion egresses
         # at the vantage point that relayed the query.
         self.identity = identity
-        self.query_log: list[QueryLogEntry] = []
 
     def answer(self, question: DnsQuestion, source: str) -> DnsResponse:
-        self.query_log.append(
-            QueryLogEntry(
-                qname=question.qname, qtype=question.qtype, source_address=source
-            )
-        )
         delegated = self.registry.delegation_for(question.qname)
         if delegated is not None:
             recursor = self.identity or source

@@ -26,8 +26,8 @@ class GeoPoint:
 
     def __post_init__(self) -> None:
         # Same tuple the generated dataclass hash uses, computed eagerly:
-        # points key the latency caches, so they are hashed millions of
-        # times and the cached attribute read wins over recomputation.
+        # `Internet._router_cache` keys by points, once per traceroute hop.
+        # (The latency model keys its legs by `id()` and hashes none.)
         object.__setattr__(
             self, "_hash", hash((self.lat, self.lon, self.country, self.city))
         )

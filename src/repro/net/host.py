@@ -77,7 +77,7 @@ class Host:
         self._ports_in_use: set[tuple[str, int]] = set()
         self._ephemeral = itertools.count(49152)
         # Hook invoked on every packet successfully delivered to this host,
-        # before service dispatch. VPN servers use it for egress behaviours.
+        # before service dispatch: a way to watch what a host received.
         self.packet_tap: Optional[Callable[[Packet], None]] = None
 
     # ------------------------------------------------------------------
@@ -314,21 +314,15 @@ class Host:
         payload = packet.payload
         if isinstance(payload, IcmpPayload):
             if payload.icmp_type == "echo_request":
-                # The reply is a pure function of the (frozen) request, so
-                # it is memoised on the request object; capture recording
-                # still happens per delivery.
-                reply = packet.__dict__.get("_echo_reply")
-                if reply is None:
-                    reply = Packet(
-                        src=packet.dst,
-                        dst=packet.src,
-                        payload=IcmpPayload(
-                            icmp_type="echo_reply",
-                            identifier=payload.identifier,
-                            sequence=payload.sequence,
-                        ),
-                    )
-                    object.__setattr__(packet, "_echo_reply", reply)
+                reply = Packet(
+                    src=packet.dst,
+                    dst=packet.src,
+                    payload=IcmpPayload(
+                        icmp_type="echo_reply",
+                        identifier=payload.identifier,
+                        sequence=payload.sequence,
+                    ),
+                )
                 self._record_tx(interface, reply, stages)
                 return [reply]
             return None

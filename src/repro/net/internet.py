@@ -112,9 +112,7 @@ class Internet:
         # never serve a stale owner.
         self._dst_memo: dict[int, tuple[Address, Host]] = {}
         # Interned probe packets: ping/traceroute re-issue byte-identical
-        # probes throughout a study, and reusing the same frozen object
-        # lets every per-object memo (hash, jitter sample, decremented
-        # copy, echo reply) hit instead of being rebuilt per probe.
+        # probes throughout a study, so each is built once.
         self._probe_cache: dict[
             tuple[Address, Address, int, int], Packet
         ] = {}
@@ -195,29 +193,15 @@ class Internet:
         results are identical regardless of what else the world delivered
         first — the property the parallel runtime's byte-identical
         archives rest on.  Distinct probes (ping sequence numbers, query
-        names) still draw distinct jitter.
-
-        The sample is memoised on the (frozen) packet: a packet's fields
-        never change after construction, so hashing it twice — once for a
-        TTL check, once for final delivery — is pure rework.  The key
-        string and digest are byte-for-byte those of the original
-        implementation; only recomputation is skipped.
+        names) still draw distinct jitter.  A delivery derives it once;
+        nothing is kept on the packet.
         """
-        sample = packet.__dict__.get("_jitter_sample")
-        if sample is None:
-            # The payload repr dominates the key build (it recurses
-            # through tunnel encapsulation); payloads are frozen, so
-            # memoise the rendering on the payload object itself.
-            payload = packet.payload
-            payload_repr = payload.__dict__.get("_repr")
-            if payload_repr is None:
-                payload_repr = repr(payload)
-                object.__setattr__(payload, "_repr", payload_repr)
-            key = f"{packet.src}|{packet.dst}|{packet.ttl}|{payload_repr}"
-            digest = hashlib.sha256(key.encode("utf-8", "replace")).digest()
-            sample = int.from_bytes(digest[:8], "big")
-            object.__setattr__(packet, "_jitter_sample", sample)
-        return sample
+        # Payloads memoise their repr; reading the memo skips a call.
+        payload = packet.payload
+        payload_repr = payload.__dict__.get("_repr") or repr(payload)
+        key = f"{packet.src}|{packet.dst}|{packet.ttl}|{payload_repr}"
+        digest = hashlib.sha256(key.encode("utf-8", "replace")).digest()
+        return int.from_bytes(digest[:8], "big")
 
     def deliver(self, packet: Packet, source: Host) -> DeliveryResult:
         """Deliver a packet from *source* to the owner of ``packet.dst``."""
@@ -251,9 +235,8 @@ class Internet:
             self._dst_memo[id(dst)] = (dst, destination)
 
         latency = self.latency
-        src_loc = source.location
-        dst_loc = destination.location
-        hops = latency._pair_stats(src_loc, dst_loc)[1]
+        leg = latency.leg(source.location, destination.location)
+        hops = leg.hops
         if packet.ttl <= hops:
             # Expired at an intermediate router.
             hop_index = packet.ttl
@@ -264,7 +247,7 @@ class Internet:
             if stages is not None:
                 stages.enter_stage("latency")
             rtt = (
-                latency.rtt_ms(src_loc, dst_loc, self._jitter_sample(packet))
+                latency.leg_rtt_ms(leg, self._jitter_sample(packet))
                 * fraction
             )
             self.clock_ms += rtt
@@ -294,15 +277,9 @@ class Internet:
         # as `dispatch` and is subtracted by exclusive accounting.
         if stages is not None:
             stages.enter_stage("latency")
-        sample = packet.__dict__.get("_jitter_sample")
-        if sample is None:
-            sample = self._jitter_sample(packet)
-        rtt = latency.rtt_ms(src_loc, dst_loc, sample)
+        rtt = latency.leg_rtt_ms(leg, self._jitter_sample(packet))
         self.clock_ms += rtt / 2.0
-        # Inline `decrement_ttl` memo fast path (hot: once per delivery).
-        delivered = packet.__dict__.get("_dec")
-        if delivered is None:
-            delivered = packet.decrement_ttl()
+        delivered = packet.decrement_ttl()
         if stages is not None:
             stages.enter_stage("dispatch")
         responses = destination.receive(delivered) or []

@@ -18,11 +18,31 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.net.geo import GeoPoint
 
 # Speed of light in vacuum is ~299.79 km/ms; in fibre ~0.66 c.
 _FIBRE_KM_PER_MS = 299.79 * 0.66
+
+
+class Leg(NamedTuple):
+    """What the model derives once for an ordered pair of points (a, b).
+
+    ``base_ms`` is the jitter-free one-way latency a -> b (propagation
+    plus per-hop cost) and ``prefix`` the a -> b jitter hash key before
+    its sample; ``back_base_ms`` and ``back_prefix`` are the same for
+    b -> a, so one record prices a round trip.  ``a`` and ``b`` pin the
+    points, so their ids cannot be recycled while the record is kept.
+    """
+
+    base_ms: float
+    prefix: bytes
+    back_base_ms: float
+    back_prefix: bytes
+    hops: int
+    a: GeoPoint
+    b: GeoPoint
 
 
 @dataclass(frozen=True)
@@ -41,6 +61,11 @@ class LatencyModel:
         Peak-to-peak deterministic jitter; the actual offset for a pair of
         endpoints is a stable hash of their coordinates so repeated pings
         between the same endpoints vary reproducibly.
+
+    A world has a few hundred host locations, so the model keeps one
+    :class:`Leg` per ordered pair it has priced, keyed by the points'
+    identities.  Jitter samples come from packet contents, which almost
+    never repeat, so jitter and RTT are derived per call and not kept.
     """
 
     base_ms: float = 0.35
@@ -48,32 +73,16 @@ class LatencyModel:
     per_hop_ms: float = 0.12
     jitter_ms: float = 0.25
 
-    # Memoisation of the pure geometry/hash functions below.  Every cached
-    # value is a deterministic function of its key, so the caches cannot
-    # change a single emitted byte — they only skip recomputation.  The
-    # study probes the same few hundred location pairs ~10^5 times.
-    _PAIR_CACHE_LIMIT = 1 << 16
-    _JITTER_CACHE_LIMIT = 1 << 17
+    _LEG_LIMIT = 1 << 16
 
     def __post_init__(self) -> None:
-        self._reset_caches()
+        # Keyed by (id(a), id(b)): int tuples hash at C speed, where value
+        # keys would pay a Python-level ``GeoPoint.__hash__`` frame per
+        # delivery.  A leg is a pure function of the two points' values, so
+        # an equal-valued but distinct point merely derives it again.
+        object.__setattr__(self, "_legs", {})
 
-    def _reset_caches(self) -> None:
-        # The hot caches are keyed by GeoPoint *identity* — (id(a), id(b))
-        # int tuples hash at C speed, whereas value keys would pay a
-        # Python-level ``GeoPoint.__hash__`` frame per probe (hundreds of
-        # thousands per study).  Every cached number is a pure function of
-        # the coordinates, so identity keying returns identical values; an
-        # equal-valued but distinct point merely recomputes.  ``_pins``
-        # holds a strong reference to every keyed point so an id can never
-        # be recycled while a cache entry mentions it.
-        object.__setattr__(self, "_pair_cache", {})
-        object.__setattr__(self, "_jitter_cache", {})
-        object.__setattr__(self, "_rtt_cache", {})
-        object.__setattr__(self, "_prefix_cache", {})
-        object.__setattr__(self, "_pins", {})
-
-    # The caches are derived state; keep pickled worlds lean.
+    # The legs are derived state; keep pickled worlds lean.
     def __getstate__(self) -> dict:
         return {
             "base_ms": self.base_ms,
@@ -85,40 +94,38 @@ class LatencyModel:
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             object.__setattr__(self, name, value)
-        self._reset_caches()
+        self.__post_init__()
 
-    def _pair_stats(self, a: GeoPoint, b: GeoPoint) -> tuple[float, int]:
-        """(propagation_ms, hop count) for an endpoint pair, memoised."""
-        cache: dict = self._pair_cache  # type: ignore[attr-defined]
-        key = (id(a), id(b))
-        stats = cache.get(key)
-        if stats is None:
-            distance = a.distance_km(b)
-            propagation = (
-                self.base_ms
-                + (distance * self.path_stretch) / _FIBRE_KM_PER_MS
+    def leg(self, a: GeoPoint, b: GeoPoint) -> Leg:
+        """The leg record for a -> b, derived on first use."""
+        legs: dict = self._legs  # type: ignore[attr-defined]
+        leg = legs.get((id(a), id(b)))
+        if leg is None:
+            base_ab, hops = self._base(a, b)
+            base_ba = self._base(b, a)[0]
+            if len(legs) >= self._LEG_LIMIT:
+                legs.clear()
+            leg = legs[(id(a), id(b))] = Leg(
+                base_ab, _prefix(a, b), base_ba, _prefix(b, a), hops, a, b
             )
-            if distance < 50.0:
-                hops = 3
-            else:
-                # ~1 hop per 600 km after the first few.
-                hops = 4 + int(distance // 600.0)
-            if len(cache) >= self._PAIR_CACHE_LIMIT:
-                self._reset_caches()
-                cache = self._pair_cache  # type: ignore[attr-defined]
-            pins: dict = self._pins  # type: ignore[attr-defined]
-            pins[id(a)] = a
-            pins[id(b)] = b
-            stats = cache[key] = (propagation, hops)
-        return stats
+        return leg
 
-    def propagation_ms(self, a: GeoPoint, b: GeoPoint) -> float:
-        """One-way propagation delay between two points, jitter-free."""
-        return self._pair_stats(a, b)[0]
+    def _base(self, a: GeoPoint, b: GeoPoint) -> tuple[float, int]:
+        """(propagation + hops * per-hop cost, hops) from a to b."""
+        distance = a.distance_km(b)
+        propagation = (
+            self.base_ms + (distance * self.path_stretch) / _FIBRE_KM_PER_MS
+        )
+        if distance < 50.0:
+            hops = 3
+        else:
+            # ~1 hop per 600 km after the first few.
+            hops = 4 + int(distance // 600.0)
+        return propagation + hops * self.per_hop_ms, hops
 
     def hops_between(self, a: GeoPoint, b: GeoPoint) -> int:
         """Plausible router hop count, growing with distance."""
-        return self._pair_stats(a, b)[1]
+        return self.leg(a, b).hops
 
     def one_way_ms(self, a: GeoPoint, b: GeoPoint, sample: int = 0) -> float:
         """One-way latency including per-hop cost and deterministic jitter.
@@ -126,85 +133,45 @@ class LatencyModel:
         ``sample`` selects among jitter realisations so that repeated probes
         between the same endpoints are not byte-identical.
         """
-        propagation, hops = self._pair_stats(a, b)
-        jitter = self._jitter(a, b, sample)
-        return propagation + hops * self.per_hop_ms + jitter
+        leg = self.leg(a, b)
+        return leg.base_ms + self._jitter(leg.prefix, sample)
 
     def rtt_ms(self, a: GeoPoint, b: GeoPoint, sample: int = 0) -> float:
-        """Round-trip time between two points.
+        """Round-trip time between two points."""
+        return self.leg_rtt_ms(self.leg(a, b), sample)
 
-        The miss path inlines ``one_way_ms``/``_jitter``: RTT is the hottest
-        latency entry point and packet-derived samples rarely repeat, so the
-        intermediate per-sample caches cannot pay for their probes here.  The
-        arithmetic keeps the exact expression shape of ``one_way_ms(a, b, s)
-        + one_way_ms(b, a, s + 1)`` so every float rounds identically.
+    def leg_rtt_ms(self, leg: Leg, sample: int) -> float:
+        """Round-trip time over *leg*; ``Internet.deliver`` calls it once
+        per delivery.
+
+        Inlines ``one_way_ms(a, b, sample) + one_way_ms(b, a, sample + 1)``
+        in the same expression shape, so every float rounds identically.
         """
-        cache: dict = self._rtt_cache  # type: ignore[attr-defined]
-        id_a = id(a)
-        id_b = id(b)
-        key = (id_a, id_b, sample)
-        rtt = cache.get(key)
-        if rtt is None:
-            per_hop = self.per_hop_ms
-            jitter_ms = self.jitter_ms
-            prop_ab, hops_ab = self._pair_stats(a, b)
-            prop_ba, hops_ba = self._pair_stats(b, a)
-            prefixes: dict = self._prefix_cache  # type: ignore[attr-defined]
-            prefix_ab = prefixes.get((id_a, id_b))
-            if prefix_ab is None:
-                prefix_ab = prefixes[(id_a, id_b)] = (
-                    f"{a.lat:.4f},{a.lon:.4f}|{b.lat:.4f},{b.lon:.4f}|"
-                ).encode("ascii")
-            prefix_ba = prefixes.get((id_b, id_a))
-            if prefix_ba is None:
-                prefix_ba = prefixes[(id_b, id_a)] = (
-                    f"{b.lat:.4f},{b.lon:.4f}|{a.lat:.4f},{a.lon:.4f}|"
-                ).encode("ascii")
-            digest_ab = hashlib.sha256(
-                prefix_ab + str(sample).encode("ascii")
-            ).digest()
-            digest_ba = hashlib.sha256(
-                prefix_ba + str(sample + 1).encode("ascii")
-            ).digest()
-            jitter_ab = (
-                int.from_bytes(digest_ab[:4], "big") / 0xFFFFFFFF
-            ) * jitter_ms
-            jitter_ba = (
-                int.from_bytes(digest_ba[:4], "big") / 0xFFFFFFFF
-            ) * jitter_ms
-            rtt = (prop_ab + hops_ab * per_hop + jitter_ab) + (
-                prop_ba + hops_ba * per_hop + jitter_ba
-            )
-            if len(cache) >= self._JITTER_CACHE_LIMIT:
-                cache.clear()
-            cache[key] = rtt
-        return rtt
+        forward = hashlib.sha256(
+            leg.prefix + str(sample).encode("ascii")
+        ).digest()
+        back = hashlib.sha256(
+            leg.back_prefix + str(sample + 1).encode("ascii")
+        ).digest()
+        jitter_ms = self.jitter_ms
+        return (
+            leg.base_ms
+            + (int.from_bytes(forward[:4], "big") / 0xFFFFFFFF) * jitter_ms
+        ) + (
+            leg.back_base_ms
+            + (int.from_bytes(back[:4], "big") / 0xFFFFFFFF) * jitter_ms
+        )
 
-    def _jitter(self, a: GeoPoint, b: GeoPoint, sample: int) -> float:
-        cache: dict = self._jitter_cache  # type: ignore[attr-defined]
-        id_a = id(a)
-        id_b = id(b)
-        key = (id_a, id_b, sample)
-        jitter = cache.get(key)
-        if jitter is None:
-            # The pair prefix of the hash key is memoised; concatenating the
-            # encoded sample yields bytes identical to encoding the full
-            # f-string (everything is ASCII), so the digest cannot change.
-            prefixes: dict = self._prefix_cache  # type: ignore[attr-defined]
-            prefix = prefixes.get((id_a, id_b))
-            if prefix is None:
-                pins: dict = self._pins  # type: ignore[attr-defined]
-                pins[id_a] = a
-                pins[id_b] = b
-                prefix = prefixes[(id_a, id_b)] = (
-                    f"{a.lat:.4f},{a.lon:.4f}|{b.lat:.4f},{b.lon:.4f}|"
-                ).encode("ascii")
-            digest = hashlib.sha256(prefix + str(sample).encode("ascii")).digest()
-            unit = int.from_bytes(digest[:4], "big") / 0xFFFFFFFF
-            if len(cache) >= self._JITTER_CACHE_LIMIT:
-                cache.clear()
-            jitter = cache[key] = unit * self.jitter_ms
-        return jitter
+    def _jitter(self, prefix: bytes, sample: int) -> float:
+        # Appending the encoded sample to the ASCII prefix hashes the same
+        # bytes as encoding the whole key string at once.
+        digest = hashlib.sha256(prefix + str(sample).encode("ascii")).digest()
+        return (int.from_bytes(digest[:4], "big") / 0xFFFFFFFF) * self.jitter_ms
+
+
+def _prefix(a: GeoPoint, b: GeoPoint) -> bytes:
+    """The a -> b jitter hash key, up to its sample."""
+    return f"{a.lat:.4f},{a.lon:.4f}|{b.lat:.4f},{b.lon:.4f}|".encode("ascii")
 
 
 DEFAULT_LATENCY_MODEL = LatencyModel()

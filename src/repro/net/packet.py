@@ -303,68 +303,29 @@ class Packet:
             object.__setattr__(self, "_repr", r)
         return r
 
-    def __hash__(self) -> int:
-        # Same tuple the generated dataclass hash uses, memoised: packets
-        # key the delivery-layer jitter cache and are hashed repeatedly as
-        # they traverse tunnel encapsulation layers.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.src, self.dst, self.payload, self.ttl))
-            object.__setattr__(self, "_hash", h)
-        return h
-
+    # The copies below are built per call and not memoised: study
+    # traffic almost never repeats a packet, so a memo on the packet
+    # would only hold the copy alive after its delivery.
     def decrement_ttl(self) -> "Packet":
         # Direct construction: dataclasses.replace re-derives the field
-        # list on every call and is ~4x slower on this per-hop path.  The
-        # result is memoised: packets are frozen, so the decremented copy
-        # is the same for the lifetime of this object, and reusing it lets
-        # downstream per-object memos (jitter sample, echo reply) hit.
-        dec = self.__dict__.get("_dec")
-        if dec is None:
-            dec = Packet(
-                src=self.src, dst=self.dst, payload=self.payload,
-                ttl=self.ttl - 1,
-            )
-            object.__setattr__(self, "_dec", dec)
-        return dec
+        # list on every call and is ~4x slower on this per-hop path.
+        return Packet(
+            src=self.src, dst=self.dst, payload=self.payload, ttl=self.ttl - 1
+        )
 
     def with_src(self, src: Address) -> "Packet":
-        """A copy with a rewritten source (tunnel session rewrites).
-
-        Memoised per source: the tunnel chain rewrites the same packet with
-        the same session/egress address on every traversal, and a stable
-        object lets the delivery layer's per-object memos hit downstream.
-        """
-        cache = self.__dict__.get("_with_src")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_with_src", cache)
-        rewritten = cache.get(src)
-        if rewritten is None:
-            rewritten = cache[src] = Packet(
-                src=src, dst=self.dst, payload=self.payload, ttl=self.ttl
-            )
-        return rewritten
+        """A copy with a rewritten source (tunnel session rewrites)."""
+        return Packet(src=src, dst=self.dst, payload=self.payload, ttl=self.ttl)
 
     def with_dst(self, dst: Address) -> "Packet":
         """A copy with a rewritten destination (tunnel reply routing)."""
-        cache = self.__dict__.get("_with_dst")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_with_dst", cache)
-        rewritten = cache.get(dst)
-        if rewritten is None:
-            rewritten = cache[dst] = Packet(
-                src=self.src, dst=dst, payload=self.payload, ttl=self.ttl
-            )
-        return rewritten
+        return Packet(src=self.src, dst=dst, payload=self.payload, ttl=self.ttl)
 
     def describe(self) -> str:
         return f"{self.src} -> {self.dst} ttl={self.ttl} {self.payload.describe()}"
 
-    # Keep derived memos (leading underscore) out of pickled captures and
-    # world snapshots: cached hashes are salted per-process and must not
-    # survive into another interpreter.
+    # Keep the derived repr memo (leading underscore) out of pickled
+    # captures and world snapshots.
     def __getstate__(self) -> dict:
         return {
             k: v for k, v in self.__dict__.items() if not k.startswith("_")

@@ -145,18 +145,6 @@ class TunnelEndpoint:
 
     # ------------------------------------------------------------------
     def _encapsulate(self, inner: Packet) -> Packet:
-        # Memoised per inner-packet content for this endpoint: repeated
-        # probes re-encapsulate identically, and reusing the outer object
-        # lets the delivery layer's per-object memos (hash, jitter sample,
-        # TTL copy) hit.  Physical/tunnel addressing is fixed for the
-        # lifetime of the endpoint, so the cached outer cannot go stale.
-        cache = getattr(self, "_encap_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_encap_cache", cache)
-        outer = cache.get(inner)
-        if outer is not None:
-            return outer
         physical = self.host.interfaces[self.physical_interface]
         src = physical.address_for_version(self.server_address.version)
         if src is None:
@@ -166,16 +154,14 @@ class TunnelEndpoint:
         session_source = self.client_tunnel_address
         if inner.dst.version == 6 and self.client_tunnel_address_v6 is not None:
             session_source = self.client_tunnel_address_v6
-        rewritten = inner.with_src(session_source)
-        outer = Packet(
+        return Packet(
             src=src,
             dst=self.server_address,
-            payload=TunnelPayload(protocol=self.protocol.name, inner=rewritten),
+            payload=TunnelPayload(
+                protocol=self.protocol.name,
+                inner=inner.with_src(session_source),
+            ),
         )
-        if len(cache) >= 16384:
-            cache.clear()
-        cache[inner] = outer
-        return outer
 
     def _handle_outer_failure(self, inner: Packet, detail: str) -> DeliveryResult:
         self.consecutive_failures += 1

@@ -13,6 +13,7 @@ whatever the VPN does to traffic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,14 +65,38 @@ class FetchResult:
 
 @dataclass
 class PageLoad:
-    """A full page load: redirect chain, final document, resources."""
+    """A full page load: redirect chain, final document, resources.
+
+    The document and its resources are parsed from the final response on
+    first read: the TLS-interception test loads most of a study's pages
+    and reads only their final URL and status.
+    """
 
     requested_url: str
     hops: list[RedirectHop] = field(default_factory=list)
     final_response: Optional[HttpResponse] = None
-    document: Optional[Document] = None
-    resources: list[ResourceLoad] = field(default_factory=list)
     error: str = ""
+
+    @functools.cached_property
+    def document(self) -> Optional[Document]:
+        """The DOM of a 200 response's body, or None."""
+        response = self.final_response
+        if response is None or response.status != 200 or not response.body:
+            return None
+        try:
+            return Document.deserialise(response.body)
+        except (ValueError, KeyError):
+            return None
+
+    @functools.cached_property
+    def resources(self) -> list[ResourceLoad]:
+        """The subresources the document references."""
+        if self.document is None:
+            return []
+        return [
+            ResourceLoad(url=resource, initiator=self.final_url)
+            for resource in self.document.resource_urls()
+        ]
 
     @property
     def ok(self) -> bool:
@@ -248,19 +273,6 @@ class Browser:
             break
         else:
             load.error = "too-many-redirects"
-            return load
-
-        response = load.final_response
-        if response is not None and response.status == 200 and response.body:
-            try:
-                load.document = Document.deserialise(response.body)
-            except (ValueError, KeyError):
-                load.document = None
-            if load.document is not None:
-                for resource in load.document.resource_urls():
-                    load.resources.append(
-                        ResourceLoad(url=resource, initiator=load.final_url)
-                    )
         return load
 
     # ------------------------------------------------------------------

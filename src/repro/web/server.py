@@ -89,7 +89,6 @@ class OriginWebServer:
         self.cert_store = cert_store
         self.is_vpn_address = is_vpn_address or _never_vpn
         self.document: Document = generate_document(site)
-        self.request_log: list[HttpRequest] = []
 
     # ------------------------------------------------------------------
     def handle_http(self, packet: Packet, host: Host) -> Optional[list[Packet]]:
@@ -100,7 +99,6 @@ class OriginWebServer:
         if not hasattr(payload, "status") or payload.kind != "http":
             return None
         request = HttpRequest.from_payload(payload)  # type: ignore[arg-type]
-        self.request_log.append(request)
         response = self.respond(request, source_address=str(packet.src))
         return _http_reply(packet, segment, response)
 
@@ -114,7 +112,6 @@ class OriginWebServer:
             return _tls_reply(packet, segment, chain, payload.sni)
         if getattr(payload, "kind", "") == "http":
             request = HttpRequest.from_payload(payload)  # type: ignore[arg-type]
-            self.request_log.append(request)
             response = self.respond(
                 request, source_address=str(packet.src), https=True
             )

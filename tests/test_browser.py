@@ -36,6 +36,16 @@ class TestPageLoads:
         assert not load.ok
         assert load.error == "dns-failure"
 
+    def test_document_parsed_on_first_read(self, browser):
+        from repro.web.dom import Document
+
+        load = browser.load_page(f"http://{HONEYSITE_STATIC}/")
+        assert load.ok and load.final_url
+        assert "document" not in vars(load)  # status and URL parse nothing
+        assert load.resources
+        assert load.document is vars(load)["document"]
+        assert load.document == Document.deserialise(load.final_response.body)
+
     def test_resources_enumerated(self, browser):
         load = browser.load_page(f"http://{HONEYSITE_STATIC}/")
         assert load.resources

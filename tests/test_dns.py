@@ -22,6 +22,7 @@ from repro.net.geo import city_location
 from repro.net.host import Host
 from repro.net.interface import Interface
 from repro.net.internet import Internet
+from repro.net.packet import DnsPayload, UdpDatagram
 
 
 class TestMessages:
@@ -141,10 +142,18 @@ class TestServersOverNetwork:
         registry.register_host_record("www.example.com", "3.3.3.3")
         resolver = RecursiveResolverServer(registry, name="test-resolver")
         install_dns_service(server, resolver)
+        arrived = []
+        server.packet_tap = arrived.append
         response = resolve_via_server(client, "10.2.0.1", "www.example.com")
         assert response.addresses == ("3.3.3.3",)
-        assert len(resolver.query_log) == 1
-        assert resolver.query_log[0].source_address == "10.1.0.1"
+        queries = [
+            packet for packet in arrived
+            if isinstance(packet.payload, UdpDatagram)
+            and isinstance(packet.payload.payload, DnsPayload)
+        ]
+        assert len(queries) == 1
+        assert queries[0].payload.payload.qname == "www.example.com"
+        assert str(queries[0].src) == "10.1.0.1"
 
     def test_manipulating_resolver(self):
         internet, client, server = _wired_pair()

@@ -128,8 +128,9 @@ class TestPickleHygiene:
 
         point = GeoPoint(lat=52.52, lon=13.405, country="DE", city="Berlin")
         hash(point)
+        assert "_hash" in point.__dict__
         restored = pickle.loads(pickle.dumps(point))
-        assert "_hash" not in restored.__dict__.get("__dict__", {}) or True
+        assert "_hash" not in restored.__dict__
         assert restored == point
         assert hash(restored) == hash(point)
 
@@ -141,9 +142,75 @@ class TestPickleHygiene:
         a = GeoPoint(lat=0.0, lon=0.0, country="XX")
         b = GeoPoint(lat=10.0, lon=10.0, country="YY")
         before = model.rtt_ms(a, b, sample=3)
+        assert len(model._legs) == 1
         restored = pickle.loads(pickle.dumps(model))
-        assert restored._rtt_cache == {}
+        assert restored._legs == {}
         assert restored.rtt_ms(a, b, sample=3) == before
+
+
+class TestBoundedDeliveryState:
+    """Study traffic almost never repeats a packet, so delivery keeps
+    nothing per packet: what it derives is per host pair."""
+
+    MEMOS = ("_dec", "_with_src", "_with_dst", "_jitter_sample")
+
+    def test_tunnelled_packets_leave_no_state_behind(self, monkeypatch):
+        from repro.net.packet import HttpPayload, Packet, TcpSegment
+        from repro.vpn.client import VpnClient
+        from repro.world import World
+
+        world = World.build(provider_names=["Mullvad"])
+        internet = world.internet
+        site = world.sites.dom_test_sites()[0]
+        origin = internet.host_named(f"site:{site.domain}")
+        arrived = []
+        origin.packet_tap = arrived.append
+        delivered = []
+        deliver = internet.deliver
+
+        def recording_deliver(packet, source):
+            delivered.append(packet)
+            return deliver(packet, source)
+
+        monkeypatch.setattr(internet, "deliver", recording_deliver)
+
+        provider = world.provider("Mullvad")
+        client = VpnClient(world.client, provider)
+        client.connect(provider.vantage_points[0])
+        try:
+            target = origin.interfaces["eth0"].ipv4
+            route = world.client.routing.lookup(target)
+            source = world.client.interfaces[route.interface].ipv4
+            assert world.client.interfaces[route.interface].is_tunnel
+
+            def send(port):
+                request = HttpPayload(method="GET", url=site.http_url)
+                packet = Packet(
+                    src=source,
+                    dst=target,
+                    payload=TcpSegment(port, 80, payload=request),
+                )
+                assert world.client.send(packet).ok
+                return packet
+
+            def model_state():
+                return sum(
+                    len(value) for value in vars(internet.latency).values()
+                    if isinstance(value, dict)
+                )
+
+            sent = [send(40000)]
+            state = model_state()
+            sent += [send(40000 + i) for i in range(1, 1000)]
+            assert model_state() == state
+        finally:
+            client.disconnect()
+
+        assert len(arrived) == 1000
+        assert len({packet.payload.src_port for packet in arrived}) == 1000
+        assert len(delivered) >= 2000  # outer and NAT'd inner per request
+        for packet in sent + delivered + arrived:
+            assert not [m for m in self.MEMOS if m in packet.__dict__]
 
 
 class TestLatencyInlineConsistency:

@@ -29,6 +29,15 @@ def tunnel_packet(world, vantage_point, inner):
     )
 
 
+def http_requests(packets):
+    """The HTTP requests among packets a host's ``packet_tap`` saw."""
+    return [
+        packet for packet in packets
+        if isinstance(packet.payload, TcpSegment)
+        and getattr(packet.payload.payload, "kind", "") == "http"
+    ]
+
+
 class TestDecapsulationAndNat:
     def test_in_tunnel_dns_answered_at_resolver_address(self, world):
         provider = world.provider("Mullvad")
@@ -55,25 +64,28 @@ class TestDecapsulationAndNat:
         provider = world.provider("Mullvad")
         vp = provider.vantage_points[0]
         site = world.sites.dom_test_sites()[0]
-        site_server = world.site_servers[site.domain]
-        seen_before = len(site_server.request_log)
+        origin = world.internet.host_named(f"site:{site.domain}")
+        arrived = []
+        origin.packet_tap = arrived.append
         from repro.net.packet import HttpPayload
 
         inner = Packet(
             src=parse_address("10.8.0.2"),
-            dst=world.internet.host_named(f"site:{site.domain}")
-            .interfaces["eth0"].ipv4,
+            dst=origin.interfaces["eth0"].ipv4,
             payload=TcpSegment(
                 40001, 80,
                 payload=HttpPayload(method="GET", url=site.http_url),
             ),
         )
-        vp.server.handle_tunnel(tunnel_packet(world, vp, inner), vp.host)
-        assert len(site_server.request_log) == seen_before + 1
-        # The origin must have seen the *vantage point* as the source,
-        # which is what the DNS-origin and geolocation tests rely on.
-        # (Checked indirectly: responses came back, meaning the origin
-        # replied to the VP's address and the VP matched the session.)
+        responses = vp.server.handle_tunnel(
+            tunnel_packet(world, vp, inner), vp.host
+        )
+        (request,) = http_requests(arrived)
+        # The origin saw the *vantage point* as the source, which is what
+        # the DNS-origin and geolocation tests rely on, and its reply came
+        # back into the client's session.
+        assert request.src == vp.server.egress_address
+        assert [str(r.payload.inner.dst) for r in responses] == ["10.8.0.2"]
 
     def test_responses_re_addressed_to_client_tunnel_ip(self, world):
         provider = world.provider("Mullvad")
@@ -127,29 +139,39 @@ class TestCensorshipShortCircuit:
             if vp.claimed_country == "RU"
         )
         censored = world.sites.censored_domains_for_country("RU")[0]
-        site_server = world.site_servers[censored]
-        seen_before = len(site_server.request_log)
+        origin = world.internet.host_named(f"site:{censored}")
+        arrived = []
+        origin.packet_tap = arrived.append
 
         from repro.net.packet import HttpPayload
 
         inner = Packet(
             src=parse_address("10.8.0.2"),
-            dst=world.internet.host_named(f"site:{censored}")
-            .interfaces["eth0"].ipv4,
+            dst=origin.interfaces["eth0"].ipv4,
             payload=TcpSegment(
                 40002, 80,
                 payload=HttpPayload(method="GET", url=f"http://{censored}/"),
             ),
         )
-        client_physical = world.client.primary_interface()
-        outer = Packet(
-            src=client_physical.ipv4,
-            dst=ru_vp.address,
-            payload=TunnelPayload(protocol="OpenVPN", inner=inner),
+        responses = ru_vp.server.handle_tunnel(
+            tunnel_packet(world, ru_vp, inner), ru_vp.host
         )
-        responses = ru_vp.server.handle_tunnel(outer, ru_vp.host)
         assert responses
         http = responses[0].payload.inner.payload.payload
         assert http.status == 302
         # The censor answered before the request ever reached the origin.
-        assert len(site_server.request_log) == seen_before
+        assert http_requests(arrived) == []
+
+        # The tap does see this origin's traffic: the same request through
+        # a vantage point that does not censor the domain arrives.
+        open_vp = next(
+            vp for vp in provider.vantage_points
+            if not any(
+                censored in getattr(behavior, "censored_domains", ())
+                for behavior in vp.server.behaviors
+            )
+        )
+        open_vp.server.handle_tunnel(
+            tunnel_packet(world, open_vp, inner), open_vp.host
+        )
+        assert len(http_requests(arrived)) == 1
