@@ -14,10 +14,10 @@ The package implements, in pure Python:
   (Section 5) and its analyses (Section 6);
 - ``repro.reporting`` — table and figure regeneration for every experiment;
 - ``repro.runtime`` — parallel, checkpointable study execution: work-unit
-  decomposition, worker pools, retry policies, resumable checkpoints,
+  decomposition, worker pools, one-retry rule, resumable checkpoints,
   progress events and longitudinal (multi-snapshot) scheduling;
 - ``repro.obs`` — opt-in observability: deterministic span traces, merged
-  execution metrics, and a per-host packet flight recorder;
+  execution metrics and the phase/stage profiler;
 - ``repro.serve`` — audit-as-a-service: a persistent daemon with a job
   queue, one shared worker pool, a durable result store, and an HTTP/JSON
   API (``repro serve`` / ``repro client``).
@@ -65,7 +65,6 @@ _EXPORTS = {
     "Observability": ("repro.obs.session", "Observability"),
     "Tracer": ("repro.obs.trace", "Tracer"),
     "MetricsRegistry": ("repro.obs.metrics", "MetricsRegistry"),
-    "FlightRecorder": ("repro.obs.flight", "FlightRecorder"),
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]
@@ -89,7 +88,6 @@ if TYPE_CHECKING:  # static importers see the real names
         ProviderSource,
     )
     from repro.obs.config import ObsConfig  # noqa: F401
-    from repro.obs.flight import FlightRecorder  # noqa: F401
     from repro.obs.metrics import MetricsRegistry  # noqa: F401
     from repro.obs.session import Observability  # noqa: F401
     from repro.obs.trace import Tracer  # noqa: F401

@@ -73,8 +73,8 @@ def run_full_study(
     ``config.backend`` picks ``"thread"`` or ``"process"`` workers,
     ``config.checkpoint_dir`` makes progress durable so re-running with the
     same directory resumes a killed study, and ``config.progress`` prints
-    per-unit progress lines.  ``config.obs`` turns on tracing, metrics, and
-    the flight recorder.  The report is byte-identical at any worker count.
+    per-unit progress lines.  ``config.obs`` turns on tracing, metrics and
+    the profiler.  The report is byte-identical at any worker count.
 
     ``stop_event`` (a :class:`threading.Event`) requests a graceful stop:
     when set, the executor finishes in-flight units, flushes the

@@ -11,7 +11,6 @@ VPN services; this CLI is the reproduction's equivalent front door:
                           [--snapshots N] [--progress] [--profile]
                           [--profile-stages] [--dashboard] [--ledger [PATH]]
                           [--trace FILE] [--metrics] [--metrics-out FILE]
-                          [--flight-recorder N]
     python -m repro ledger show ledger.jsonl   # a run's numbers from its log
     python -m repro trace summarize out.jsonl  # span-tree / packet summary
     python -m repro trace flows out.jsonl      # per-packet causal hop chains
@@ -154,11 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out", metavar="FILE",
         help="write the merged metrics snapshot as JSON to FILE "
              "(implies metrics collection)",
-    )
-    study.add_argument(
-        "--flight-recorder", type=int, default=0, metavar="N",
-        help="keep the last N packet events per host and dump them into "
-             "the trace when a connect/retry budget is exhausted",
     )
 
     trace = sub.add_parser(
@@ -1110,7 +1104,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     trace_path=args.trace,
                     metrics=args.metrics,
                     metrics_path=args.metrics_out,
-                    flight_recorder=args.flight_recorder,
                     profile=args.profile,
                     stage_profile=args.profile_stages,
                     stage_sample=args.stage_sample,

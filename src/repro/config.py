@@ -137,7 +137,6 @@ class ServeConfig:
     state_dir: str = "serve-state"
     workers: int = 2
     max_active_jobs: int = 2
-    poll_interval_s: float = 0.05
     keep_checkpoints: bool = False
     #: Cadence of each job's runtime resource sampler (RSS, queue depth,
     #: shard residency); feeds ``GET /jobs/{id}/top``.  None disables it.
@@ -150,8 +149,6 @@ class ServeConfig:
             raise ValueError("sample_interval_s must be > 0 or None")
         if self.max_active_jobs < 1:
             raise ValueError("max_active_jobs must be >= 1")
-        if self.poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be > 0")
         if not (0 <= self.port <= 65535):
             raise ValueError("port must be in [0, 65535] (0 = ephemeral)")
 

@@ -48,7 +48,7 @@ from repro.core.metadata import MetadataTest
 from repro.core.p2p import P2pDetection
 from repro.core.results import VantagePointResults
 from repro.obs.evidence import EvidenceChain
-from repro.runtime.retry import RetryPolicy
+from repro.runtime.retry import MAX_ATTEMPTS
 from repro.vpn.client import VpnClient
 from repro.vpn.provider import ClientType, VantagePoint, VpnProvider
 from repro.web.browser import Browser
@@ -342,10 +342,6 @@ class TestSuite:
         self,
         world: World,
         max_vantage_points: Optional[int] = 5,
-        dom_sites: Optional[int] = None,
-        tls_hosts: Optional[int] = None,
-        tunnel_failure_attempts: int = 12,
-        retry_policy: Optional[RetryPolicy] = None,
         obs_config: Optional["ObsConfig"] = None,
     ) -> None:
         self.world = world
@@ -357,12 +353,8 @@ class TestSuite:
         )
         if self.obs is not None:
             self.obs.attach(world)
-        # Flaky-endpoint handling (§5.2): formerly a hard-coded single
-        # inline retry around the connect call; now a shared policy that
-        # also covers mid-battery drops during the leakage tests.
-        self.retry_policy = retry_policy or RetryPolicy.single_retry()
-        self._dom_test = DomCollectionTest(max_sites=dom_sites)
-        self._tls_test = TlsInterceptionTest(max_hosts=tls_hosts)
+        self._dom_test = DomCollectionTest()
+        self._tls_test = TlsInterceptionTest()
         self._dns_manip = DnsManipulationTest()
         self._proxy_test = ProxyDetectionTest()
         self._dns_origin = DnsOriginTest()
@@ -370,9 +362,7 @@ class TestSuite:
         self._geo_test = GeolocationTest()
         self._dns_leak = DnsLeakageTest()
         self._ipv6_leak = Ipv6LeakageTest()
-        self._tunnel_failure = TunnelFailureTest(
-            attempts=tunnel_failure_attempts
-        )
+        self._tunnel_failure = TunnelFailureTest()
         self._webrtc = WebRtcLeakageTest()
         # Flaky-endpoint reconnects performed across the whole run (§5.2).
         self.connect_retries = 0
@@ -539,10 +529,9 @@ class TestSuite:
                 if is_custom:
                     # Leakage tests need the provider's own client software
                     # (Section 6.5: disabled for automated OpenVPN testing).
-                    # Each leakage test runs under the retry policy: a
-                    # flaky endpoint dropping the session mid-battery is
-                    # reconnected and the test re-run, where the seed
-                    # harness only ever retried the initial connect.
+                    # A flaky endpoint dropping the session mid-battery is
+                    # reconnected and the test re-run once, as the initial
+                    # connect is.
                     results.dns_leakage = observed(
                         "dns_leakage", vantage,
                         lambda: self._run_leakage_test(
@@ -605,12 +594,12 @@ class TestSuite:
             return result
 
     # ------------------------------------------------------------------
-    # Flaky-endpoint handling (§5.2) via the shared retry policy
+    # Flaky-endpoint handling (§5.2): one retry, on the same client
     # ------------------------------------------------------------------
     def _connect_with_retry(
         self, vpn_client: VpnClient, vantage_point: VantagePoint
     ) -> bool:
-        """Connect under the retry policy; False when attempts run out."""
+        """Connect, retrying once; False when attempts run out."""
         from repro.vpn.client import TunnelConnectionError
 
         obs = self.obs
@@ -621,13 +610,7 @@ class TestSuite:
                 vpn_client.connect(vantage_point)
                 return True
             except TunnelConnectionError:
-                if not self.retry_policy.should_retry(attempt):
-                    if obs is not None:
-                        obs.flight_dump(
-                            "connect_exhausted",
-                            vantage=vantage_point.hostname,
-                            attempts=attempt,
-                        )
+                if attempt >= MAX_ATTEMPTS:
                     return False
                 self.connect_retries += 1
                 if obs is not None:
@@ -656,14 +639,7 @@ class TestSuite:
                     vpn_client.connect(context.vantage_point)
                 return run()
             except TunnelConnectionError:
-                if not self.retry_policy.should_retry(attempt):
-                    if obs is not None:
-                        obs.flight_dump(
-                            "retry_exhausted",
-                            test=name,
-                            vantage=context.vantage_point.hostname,
-                            attempts=attempt,
-                        )
+                if attempt >= MAX_ATTEMPTS:
                     raise
                 self.connect_retries += 1
                 if obs is not None:

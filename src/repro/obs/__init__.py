@@ -1,4 +1,4 @@
-"""repro.obs — tracing, metrics and the packet flight recorder.
+"""repro.obs — tracing, metrics and the phase/stage profiler.
 
 The observability subsystem.  :class:`ObsConfig` picks features;
 ``ObsConfig.build()`` returns an :class:`Observability` session (or ``None``
@@ -12,9 +12,6 @@ _EXPORTS = {
     "ObsConfig": ("repro.obs.config", "ObsConfig"),
     "Observability": ("repro.obs.session", "Observability"),
     "Tracer": ("repro.obs.trace", "Tracer"),
-    "SpanSink": ("repro.obs.trace", "SpanSink"),
-    "JsonlSpanSink": ("repro.obs.trace", "JsonlSpanSink"),
-    "MemorySpanSink": ("repro.obs.trace", "MemorySpanSink"),
     "study_span_id": ("repro.obs.trace", "study_span_id"),
     "read_trace": ("repro.obs.trace", "read_trace"),
     "write_trace": ("repro.obs.trace", "write_trace"),
@@ -35,7 +32,6 @@ _EXPORTS = {
     "Gauge": ("repro.obs.metrics", "Gauge"),
     "Histogram": ("repro.obs.metrics", "Histogram"),
     "RouteLookupStats": ("repro.obs.metrics", "RouteLookupStats"),
-    "FlightRecorder": ("repro.obs.flight", "FlightRecorder"),
     "Profiler": ("repro.obs.profile", "Profiler"),
     "phase_breakdown": ("repro.obs.profile", "phase_breakdown"),
     "stage_breakdown": ("repro.obs.profile", "stage_breakdown"),
@@ -72,7 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         EvidenceCollector,
         EvidenceLink,
     )
-    from repro.obs.flight import FlightRecorder
     from repro.obs.metrics import (
         Counter,
         Gauge,
@@ -82,9 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     )
     from repro.obs.session import Observability
     from repro.obs.trace import (
-        JsonlSpanSink,
-        MemorySpanSink,
-        SpanSink,
         Tracer,
         read_trace,
         study_span_id,

@@ -140,7 +140,7 @@ def _build_flows(events: list[TraceRecord]) -> list[Hop]:
                 # stands alone as an annotation-only hop.
                 roots.append(Hop(record=event))
         else:
-            # Other leaf kinds (flight_dump, ...) neither open nor claim.
+            # Any other leaf kind neither opens nor claims a hop.
             continue
     roots.extend(pending)
     return roots

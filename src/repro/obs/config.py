@@ -2,7 +2,7 @@
 
 :class:`ObsConfig` is the single switchboard for the observability
 subsystem: structured tracing (span tree exported as JSONL), the metrics
-registry, and the packet flight recorder.  It is a frozen dataclass of
+registry and the phase/stage profiler.  It is a frozen dataclass of
 plain values so it can ride inside :class:`repro.config.StudyConfig`,
 cross process boundaries in worker-pool ``initargs``, and participate in
 config equality/hashing.
@@ -28,14 +28,11 @@ class ObsConfig:
     """What to observe during a study.
 
     ``trace`` collects the span tree in memory (read it back from the
-    executor's ``trace_records``); ``trace_path`` additionally writes it as
-    JSONL, one record per line, and implies ``trace``.  ``trace_packets``
-    controls whether individual ``packet_send`` events are recorded inside
-    test spans (the bulk of an enabled trace).  ``metrics`` turns on the
+    executor's ``trace_records``), every ``packet_send`` event inside its
+    test span included; ``trace_path`` additionally writes it as JSONL,
+    one record per line, and implies ``trace``.  ``metrics`` turns on the
     counters/gauges/histograms registry; ``metrics_path`` additionally
-    writes the merged study snapshot as JSON and implies ``metrics``;
-    ``flight_recorder`` keeps the last N packet events per host in a ring
-    buffer that is dumped into the trace whenever a retry policy exhausts.
+    writes the merged study snapshot as JSON and implies ``metrics``.
     ``profile`` arms the :class:`~repro.obs.profile.Profiler` with phase
     frames only — the per-unit dns/browser/tls/delivery/analysis
     wall-clock attribution — and implies ``metrics``, since profile
@@ -47,17 +44,13 @@ class ObsConfig:
 
     trace: bool = False
     trace_path: Optional[str] = None
-    trace_packets: bool = True
     metrics: bool = False
     metrics_path: Optional[str] = None
-    flight_recorder: int = 0
     profile: bool = False
     stage_profile: bool = False
     stage_sample: int = 8
 
     def __post_init__(self) -> None:
-        if self.flight_recorder < 0:
-            raise ValueError("flight_recorder must be >= 0")
         if self.stage_sample < 1:
             raise ValueError("stage_sample must be >= 1")
 
@@ -81,11 +74,7 @@ class ObsConfig:
     @property
     def enabled(self) -> bool:
         """Whether *any* observability feature is on."""
-        return (
-            self.trace_enabled
-            or self.metrics_enabled
-            or self.flight_recorder > 0
-        )
+        return self.trace_enabled or self.metrics_enabled
 
     def replace(self, **changes: object) -> "ObsConfig":
         return replace(self, **changes)  # type: ignore[arg-type]

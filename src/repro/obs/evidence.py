@@ -146,8 +146,11 @@ class EvidenceCollector:
         assert self._session is not None
         span = self._session.span_for_packet(packet)
         if span is None:
-            # Packet events disabled (trace_packets=False): keep the fact
-            # as a note so the chain still explains the verdict.
+            # The packet has no packet_send record of its own: a tunnel
+            # that fails open leaks a re-addressed copy of the
+            # tunnel-failure probe (`TunnelEndpoint._leak`), and the trace
+            # records the copy.  Keep the fact as a note so the chain
+            # still explains the verdict.
             if note:
                 self.note(note)
             return False

@@ -4,8 +4,8 @@ One :class:`Observability` object lives in each worker's suite (built by
 ``ObsConfig.build`` in ``TestSuite.__init__``) and owns whichever
 components the config enables: the :class:`~repro.obs.trace.Tracer`, the
 :class:`~repro.obs.metrics.MetricsRegistry`, the
-:class:`~repro.obs.flight.FlightRecorder` and the routing-memo stats.  It
-is the single object the instrumented hot paths talk to: the simulated
+:class:`~repro.obs.profile.Profiler` and the routing-memo stats.  It is
+the single object the instrumented hot paths talk to: the simulated
 :class:`~repro.net.internet.Internet` carries an ``obs`` attribute that is
 either this session or ``None``, so the disabled cost at every event site
 is one attribute load and one ``is not None`` check.
@@ -25,7 +25,6 @@ from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, ContextManager, Iterator, Optional
 
 from repro.obs.config import ObsConfig
-from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, RouteLookupStats
 from repro.obs.profile import Profiler, fold_profile
 from repro.obs.trace import Tracer
@@ -51,11 +50,6 @@ class Observability:
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if config.metrics_enabled else None
         )
-        self.flight: Optional[FlightRecorder] = (
-            FlightRecorder(config.flight_recorder)
-            if config.flight_recorder > 0
-            else None
-        )
         self.route_stats: Optional[RouteLookupStats] = (
             RouteLookupStats() if config.metrics_enabled else None
         )
@@ -77,7 +71,6 @@ class Observability:
             self.profile if config.stage_profile else None
         )
         self._trust_store: "Optional[TrustStore]" = None
-        self._dumps: list[dict] = []
         self._unit_open = False
         # Per-unit side table: id(packet) -> span ID of its packet_send
         # record.  Lets evidence collectors resolve a captured packet
@@ -128,31 +121,16 @@ class Observability:
         self, host_name: str, packet: "Packet", status: str, detail: str = ""
     ) -> None:
         """One packet reached a terminal fate (delivered or otherwise)."""
-        protocol = packet.payload.kind
         metrics = self.metrics
         if metrics is not None:
             metrics.inc("packets.total")
             metrics.inc(f"packets.{status}")
-        flight = self.flight
-        if flight is not None:
-            flight.record(
-                host_name,
-                self._clock(),
-                status,
-                protocol,
-                str(packet.dst),
-                detail,
-            )
         tracer = self.tracer
-        if (
-            tracer is not None
-            and self.config.trace_packets
-            and self._unit_open
-        ):
+        if tracer is not None and self._unit_open:
             attrs = {
                 "host": host_name,
                 "status": status,
-                "protocol": protocol,
+                "protocol": packet.payload.kind,
                 "dst": str(packet.dst),
             }
             if detail:
@@ -286,35 +264,14 @@ class Observability:
             if trust_store is not None:
                 trust_store.profile = self.profile
 
-    def flight_dump(self, reason: str, **attrs: object) -> None:
-        """Dump the ring buffers into the evidence trail, then clear them."""
-        flight = self.flight
-        if flight is None:
-            return
-        events = flight.snapshot()
-        flight.clear()
-        dump = {"reason": reason, "events": events, **attrs}
-        self._dumps.append(dump)
-        if self.metrics is not None:
-            self.metrics.inc("flight.dumps")
-        tracer = self.tracer
-        if tracer is not None and self._unit_open:
-            tracer.event(
-                "flight_dump", "flight_dump", reason=reason,
-                events=events, **attrs,
-            )
-
     # ------------------------------------------------------------------
     # Unit lifecycle (driven by the harness/executor)
     # ------------------------------------------------------------------
     def begin_unit(self, unit: "AuditUnit") -> None:
         if self.tracer is not None:
             self.tracer.begin_unit(unit.unit_id, unit.seed)
-        if self.flight is not None:
-            self.flight.clear()
         if self.profile is not None:
             self.profile.reset()
-        self._dumps = []
         self._packet_spans = {}
         self._test_span_id = None
         self._unit_open = True
@@ -341,9 +298,6 @@ class Observability:
             payload["trace"] = self.tracer.drain()
         if self.metrics is not None:
             payload["metrics"] = self.metrics.drain()
-        if self._dumps:
-            payload["flight_dumps"] = self._dumps
-            self._dumps = []
         return payload or None
 
     def drain_profile(self) -> Optional[dict]:

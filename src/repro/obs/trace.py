@@ -2,11 +2,11 @@
 
 The trace is the provenance layer the verdict tables lack: every study is
 a tree of spans — ``study`` → ``unit`` → ``test`` — with leaf events
-(``dns_query``, ``packet_send``, ``flight_dump``) attached to whichever
-span was open when they happened.  Two properties make it auditable:
+(``dns_query``, ``packet_send``) attached to whichever span was open when
+they happened.  Two properties make it auditable:
 
 - **Seeded-deterministic span IDs.**  IDs are derived with the same
-  process-independent hash the runtime uses for retry jitter:
+  process-independent hash the runtime uses for unit seeds:
   the study span from the study seed, unit spans from the unit seed, and
   child spans from ``(parent id, child index, name)``.  No randomness, no
   wall clock, no PIDs — the same study produces the same IDs on any
@@ -19,8 +19,7 @@ span was open when they happened.  Two properties make it auditable:
 
 Workers record spans into a per-unit buffer; the executor collects the
 buffers with each unit result and writes the merged trace in *plan* order
-through a pluggable :class:`SpanSink`, so scheduling order never reaches
-the file.
+with :func:`write_trace`, so scheduling order never reaches the file.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import json
 import pathlib
 from collections import Counter as _Counter
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Protocol
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.runtime.retry import stable_hash
 
@@ -76,60 +75,22 @@ def study_record(
     }
 
 
-# ----------------------------------------------------------------------
-# Sinks
-# ----------------------------------------------------------------------
-class SpanSink(Protocol):
-    """Anything that can receive finished trace records."""
+def write_trace(
+    records: Iterable[TraceRecord], path: str | pathlib.Path
+) -> None:
+    """Write *records* to *path* as JSONL, one record per line.
 
-    def write(self, record: TraceRecord) -> None: ...
-
-    def close(self) -> None: ...
-
-
-class MemorySpanSink:
-    """Collects records in memory (tests, programmatic consumers)."""
-
-    def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
-
-    def write(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
-    def close(self) -> None:
-        pass
-
-
-class JsonlSpanSink:
-    """Writes one compact, key-sorted JSON record per line.
-
-    Sorted keys and fixed separators make the byte stream canonical: equal
+    Compact, key-sorted records make the byte stream canonical: equal
     record sequences produce equal files.
     """
-
-    def __init__(self, path: str | pathlib.Path) -> None:
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("w", encoding="utf-8")
-
-    def write(self, record: TraceRecord) -> None:
-        self._handle.write(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-
-    def close(self) -> None:
-        self._handle.close()
-
-
-def write_trace(
-    records: Iterable[TraceRecord], sink: SpanSink
-) -> None:
-    """Drive *records* through *sink* and close it."""
-    try:
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as handle:
         for record in records:
-            sink.write(record)
-    finally:
-        sink.close()
+            handle.write(
+                json.dumps(record, sort_keys=True, separators=(",", ":"))
+                + "\n"
+            )
 
 
 def read_trace(
@@ -300,7 +261,6 @@ def summarize_trace(records: list[TraceRecord]) -> str:
         for r in records
         if r.get("kind") == "packet_send"
     )
-    dumps = [r for r in records if r.get("kind") == "flight_dump"]
     units = [r for r in records if r.get("kind") == "unit"]
     lines = [f"{len(records)} trace records"]
     lines.append(
@@ -324,12 +284,4 @@ def summarize_trace(records: list[TraceRecord]) -> str:
                 f"{status}={count}" for status, count in sorted(packets.items())
             )
         )
-    if dumps:
-        lines.append(f"  flight dumps: {len(dumps)}")
-        for record in dumps:
-            attrs = record.get("attrs") or {}
-            lines.append(
-                f"    {attrs.get('reason', '?')} "
-                f"({len(attrs.get('events', []))} buffered packet events)"
-            )
     return "\n".join(lines)

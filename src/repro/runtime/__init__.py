@@ -1,9 +1,9 @@
 """repro.runtime — parallel, checkpointable study execution.
 
 The runtime decomposes a study into independent work units
-(:mod:`~repro.runtime.units`), executes them on a worker pool with retries
-(:mod:`~repro.runtime.executor`, :mod:`~repro.runtime.retry`),
-checkpoints completed units so a killed study
+(:mod:`~repro.runtime.units`), executes them on a worker pool and retries
+a failed unit once (:mod:`~repro.runtime.executor`,
+:mod:`~repro.runtime.retry`), checkpoints completed units so a killed study
 resumes (:mod:`~repro.runtime.checkpoint`), and publishes progress events
 (:mod:`~repro.runtime.events`); an N-snapshot longitudinal series
 (:mod:`~repro.runtime.scheduler`) is one plan on the same executor.
@@ -17,7 +17,6 @@ an import cycle.  Attribute access loads the owning submodule on demand.
 from __future__ import annotations
 
 _EXPORTS = {
-    "RetryPolicy": "repro.runtime.retry",
     "stable_hash": "repro.runtime.retry",
     "AuditUnit": "repro.runtime.units",
     "StudyPlan": "repro.runtime.units",

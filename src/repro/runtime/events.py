@@ -72,7 +72,6 @@ class UnitFinished:
 class UnitRetried:
     unit_id: str
     attempt: int        # the attempt that just failed (1-based)
-    backoff_s: float
     error: str
 
 
@@ -456,8 +455,8 @@ class TextProgressRenderer:
                 )
         elif isinstance(event, UnitRetried):
             self._emit(
-                f"retry {event.unit_id} after attempt {event.attempt} "
-                f"(+{event.backoff_s:.2f}s): {event.error}"
+                f"retry {event.unit_id} after attempt {event.attempt}: "
+                f"{event.error}"
             )
         elif isinstance(event, UnitFailed):
             self._emit(

@@ -2,13 +2,12 @@
 
 :class:`StudyExecutor` owns study orchestration: it decomposes the study
 into :class:`~repro.runtime.units.AuditUnit` records, dispatches them onto
-a worker pool, retries failures under a :class:`RetryPolicy`, publishes
-progress events, and finally assembles the per-unit results — in plan
-order, never completion order — into a study report that is the same at
-any worker count.  One loop serves both entry points; they differ only in
-the result sink, which makes committed units durable in a
-:class:`CheckpointStore`: ``run()`` keeps them in memory (and in
-``checkpoint_dir``, if set) and returns the
+a worker pool, retries a failed unit once, publishes progress events, and
+finally assembles the per-unit results — in plan order, never completion
+order — into a study report that is the same at any worker count.  One
+loop serves both entry points; they differ only in the result sink, which
+makes committed units durable in a :class:`CheckpointStore`: ``run()``
+keeps them in memory (and in ``checkpoint_dir``, if set) and returns the
 :class:`~repro.core.harness.StudyReport`, ``run_streamed()`` records them
 in its archive and returns a :class:`StreamedStudy`.
 
@@ -58,7 +57,7 @@ from repro.core.harness import TestSuite
 from repro.runtime import events as ev
 from repro.runtime.checkpoint import CheckpointStore, CompletedUnit
 from repro.runtime.dashboard import DashboardState
-from repro.runtime.retry import RetryPolicy
+from repro.runtime.retry import MAX_ATTEMPTS
 from repro.runtime.scheduler import LongitudinalReport, SnapshotRecord
 from repro.runtime.scheduler import SnapshotSpec, diff_verdicts, verdict_fields
 from repro.runtime.units import AuditUnit, StudyPlan
@@ -533,7 +532,6 @@ class StudyExecutor:
         max_vantage_points: Optional[int] = 5,
         workers: int = 1,
         backend: str = "thread",
-        retry: Optional[RetryPolicy] = None,
         checkpoint_dir: Optional[str] = None,
         bus: Optional[ev.EventBus] = None,
         obs: Optional["ObsConfig"] = None,
@@ -573,7 +571,6 @@ class StudyExecutor:
         self._seeds = [spec.seed for spec in self._specs]
         self.workers = workers
         self.backend = backend
-        self.retry = retry or RetryPolicy.single_retry()
         self.checkpoint_dir = checkpoint_dir
         self.bus = bus or ev.EventBus()
         # stop_event is the cooperative cancellation point: when set, the
@@ -631,22 +628,9 @@ class StudyExecutor:
             return None
         return self._fold.registry
 
-    @property
-    def flight_dumps(self) -> list[dict]:
-        """Flight-recorder dumps from executed units, in plan order."""
-        if self.plan is None:
-            return []
-        dumps: list[dict] = []
-        for unit in self.plan.units:
-            payload = self._obs_payloads.get(unit.key)
-            if payload:
-                dumps.extend(payload.get("flight_dumps") or [])
-        return dumps
-
     def _suite_kwargs(self) -> dict:
         return {
             "max_vantage_points": self.max_vantage_points,
-            "retry_policy": self.retry,
             "obs_config": self.obs_config,
         }
 
@@ -986,8 +970,9 @@ class StudyExecutor:
         """Run *pending* through the pool's window, committing each unit.
 
         A unit is submitted, and its ``UnitStarted`` published, only when
-        a slot frees.  A failed attempt is resubmitted while the retry
-        policy allows it and no stop has been seen.  A series snapshot
+        a slot frees.  A failed attempt is resubmitted while attempts are
+        left (:data:`~repro.runtime.retry.MAX_ATTEMPTS`) and no stop has
+        been seen.  A series snapshot
         settles as soon as its last unit is committed or has failed.  On a
         stop the loop submits nothing more, cancels what the pool has not
         started, commits the rest as it finishes, and halts with the units
@@ -1037,14 +1022,11 @@ class StudyExecutor:
                     try:
                         outcome = future.result()
                     except Exception as exc:  # noqa: BLE001 - unit isolation
-                        if self.retry.should_retry(attempt) and not stopping:
+                        if attempt < MAX_ATTEMPTS and not stopping:
                             self.bus.publish(
                                 ev.UnitRetried(
                                     unit_id=unit.key,
                                     attempt=attempt,
-                                    backoff_s=self.retry.backoff_s(
-                                        attempt, key=unit.unit_id
-                                    ),
                                     error=repr(exc),
                                 )
                             )
@@ -1136,7 +1118,7 @@ class StudyExecutor:
         """
         if self.obs_config is None or not self.obs_config.trace_enabled:
             return
-        from repro.obs.trace import JsonlSpanSink, study_record
+        from repro.obs.trace import study_record, write_trace
 
         plan = snapshot.plan
         records: list[dict] = [
@@ -1156,12 +1138,7 @@ class StudyExecutor:
         if path and self.snapshots is not None:
             path = f"{path}.{snapshot.record.spec.label}"
         if path:
-            sink = JsonlSpanSink(path)
-            try:
-                for record in records:
-                    sink.write(record)
-            finally:
-                sink.close()
+            write_trace(records, path)
 
     def _finalize_obs(self) -> None:
         """Publish the run's merged metrics (and write ``metrics_path``)."""

@@ -137,12 +137,7 @@ class ServeClient:
             self._request("GET", f"/trace/query?{query}")
         )
 
-    def wait(
-        self,
-        job_id: str,
-        timeout_s: float = 120.0,
-        poll_interval_s: float = 0.1,
-    ) -> JobStatusReply:
+    def wait(self, job_id: str, timeout_s: float = 120.0) -> JobStatusReply:
         """Poll until the job reaches a terminal state; raises on timeout."""
         deadline = time.monotonic() + timeout_s
         while True:
@@ -154,7 +149,7 @@ class ServeClient:
                     f"job {job_id!r} still {reply.record.state.value} "
                     f"after {timeout_s:.0f}s"
                 )
-            time.sleep(poll_interval_s)
+            time.sleep(0.1)
 
     def metrics_text(self) -> str:
         """The raw Prometheus exposition from ``GET /metrics``."""

@@ -53,6 +53,10 @@ from repro.serve.jobs import JobQueue
 from repro.serve.protocol import JobKind, JobRecord, JobState
 from repro.serve.store import ResultStore
 
+# How long the dispatch loop blocks on a free job slot, then on the queue,
+# before it looks at the shutdown flag again.
+_POLL_S = 0.05
+
 
 class JobScheduler:
     """Claim, run, and resolve jobs until told to shut down."""
@@ -172,9 +176,9 @@ class JobScheduler:
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while not self._shutdown.is_set():
-            if not self._active.acquire(timeout=self.config.poll_interval_s):
+            if not self._active.acquire(timeout=_POLL_S):
                 continue
-            record = self.queue.claim(timeout=self.config.poll_interval_s)
+            record = self.queue.claim(timeout=_POLL_S)
             if record is None:
                 self._active.release()
                 continue

@@ -20,16 +20,19 @@ memory:
                                       # each event is published
 
 ``job.json`` is rewritten on every state transition (the queue's
-``on_change`` hook), so a killed daemon recovers its whole queue by
-scanning ``jobs/*/job.json`` — jobs that were running resume from their
-archives (each unit is written once, into ``archive/``, or a snapshots
-job's ``archive/snapshot-NN/``), results of finished jobs stay fetchable
-forever (or until pruned).
+``on_change`` hook).  Every JSON document here is written to a temporary
+file beside its target and then renamed over it, so a daemon killed
+mid-write leaves the previous document whole, and a killed daemon
+recovers its whole queue by scanning ``jobs/*/job.json`` — jobs that were
+running resume from their archives (each unit is written once, into
+``archive/``, or a snapshots job's ``archive/snapshot-NN/``), results of
+finished jobs stay fetchable forever (or until pruned).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import shutil
 from typing import TYPE_CHECKING, Optional
@@ -94,7 +97,7 @@ class ResultStore:
             except (ValueError, KeyError, json.JSONDecodeError):
                 persisted = 0
         number = max(sequence, persisted)
-        path.write_text(json.dumps({"next": number + 1}))
+        _replace_text(path, json.dumps({"next": number + 1}))
         return f"job-{number:05d}-{request.fingerprint()[:8]}"
 
     # ------------------------------------------------------------------
@@ -120,7 +123,9 @@ class ResultStore:
                     JobRecord.from_dict(json.loads(path.read_text()))
                 )
             except (json.JSONDecodeError, ProtocolError, KeyError, ValueError):
-                continue  # a job dir killed mid-write; results stay on disk
+                # A record this code cannot decode (damaged, or of a wire
+                # form it does not know); its results stay on disk.
+                continue
         records.sort(key=lambda r: r.sequence)
         return records
 
@@ -157,14 +162,9 @@ class ResultStore:
                 directory / RESULT_FILES["metrics"], metrics_snapshot
             )
         if trace_records:
-            from repro.obs.trace import JsonlSpanSink
+            from repro.obs.trace import write_trace
 
-            sink = JsonlSpanSink(str(directory / "trace.jsonl"))
-            try:
-                for trace_record in trace_records:
-                    sink.write(trace_record)
-            finally:
-                sink.close()
+            write_trace(trace_records, directory / "trace.jsonl")
         self._write_json(
             directory / RESULT_FILES["fingerprint"],
             {
@@ -261,13 +261,21 @@ class ResultStore:
     # ------------------------------------------------------------------
     def _write_json(self, path: pathlib.Path, payload: dict) -> None:
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        path.write_text(body)
+        _replace_text(path, body)
         self._account(len(body.encode()))
 
     def _account(self, size: int) -> None:
         if self.metrics is not None:
             self.metrics.inc("serve.store.writes")
             self.metrics.inc("serve.store.bytes_written", size)
+
+
+def _replace_text(path: pathlib.Path, text: str) -> None:
+    """Write *text* to *path* whole or not at all: a temporary file
+    beside it, then ``os.replace``, so a reader never sees a torn file."""
+    temporary = path.with_name(path.name + ".tmp")
+    temporary.write_text(text)
+    os.replace(temporary, path)
 
 
 __all__ = ["ResultStore", "RESULT_FILES", "JobState"]

@@ -78,6 +78,11 @@ class VpnClient:
         self.endpoint: Optional[TunnelEndpoint] = None
         self.current_vantage_point: Optional[VantagePoint] = None
         self._saved = _SavedConfig()
+        # Connection attempts per endpoint hostname.  Each client counts
+        # its own, so a connect in one world never decides whether a
+        # connect to the same endpoint in another world fails; the
+        # harness retries on the client whose attempt failed.
+        self._attempts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -89,16 +94,12 @@ class VpnClient:
         return self.leaks.failure_mode is FailureMode.FAIL_CLOSED
 
     # ------------------------------------------------------------------
-    # Per-endpoint connection attempt counter (class-level so a fresh
-    # client object retrying the same endpoint sees the earlier failure).
-    _attempts: dict[str, int] = {}
-
     def connect(self, vantage_point: VantagePoint | str) -> ConnectionState:
         """Establish the tunnel to a vantage point (by object or hostname).
 
-        Raises :class:`TunnelConnectionError` on the first attempt to a
-        flaky endpoint (Section 5.2's unreliable regions); a retry
-        succeeds, mirroring the paper's partial re-collection.
+        Raises :class:`TunnelConnectionError` on this client's first
+        attempt to a flaky endpoint (Section 5.2's unreliable regions); a
+        retry succeeds, mirroring the paper's partial re-collection.
         """
         if self.state is ConnectionState.CONNECTED:
             raise RuntimeError("already connected; disconnect first")
@@ -109,9 +110,9 @@ class VpnClient:
         if physical is None:
             raise RuntimeError("host has no physical interface")
 
-        key = f"{self.provider.name}|{vantage_point.hostname}"
-        attempt = VpnClient._attempts.get(key, 0) + 1
-        VpnClient._attempts[key] = attempt
+        hostname = vantage_point.hostname
+        attempt = self._attempts.get(hostname, 0) + 1
+        self._attempts[hostname] = attempt
         if vantage_point.spec.flaky and attempt % 2 == 1:
             raise TunnelConnectionError(
                 f"{vantage_point.hostname} dropped the connection "

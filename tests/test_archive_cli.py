@@ -189,7 +189,6 @@ class TestCli:
             ["study", "--providers", "Seed4.me", "--shards", "0"],
             ["study", "--providers", "Seed4.me", "--max-vps", "0"],
             ["study", "--providers", "Seed4.me", "--snapshots", "0"],
-            ["study", "--providers", "Seed4.me", "--flight-recorder", "-1"],
             ["study", "--providers", "Seed4.me", "--stage-sample", "0"],
             ["serve", "--workers", "0"],
             pytest.param(

@@ -29,7 +29,6 @@ from repro.runtime.executor import (
     _CollectorPause,
     _shard_suite_cached,
 )
-from repro.runtime.retry import RetryPolicy
 from repro.runtime.units import UnitKind
 from repro.source import StudySource
 
@@ -156,7 +155,7 @@ class TestCollectorState:
         self, probe_factory, caller_collector, entry, workers, tmp_path
     ):
         probe = probe_factory(fail=lambda unit: unit.kind is UnitKind.SWEEP)
-        executor = _executor(workers, retry=RetryPolicy.single_retry())
+        executor = _executor(workers)
         _run(executor, entry, tmp_path)
         assert executor.stats.failed_units == 1
         assert executor.stats.retried_units == 1

@@ -426,6 +426,33 @@ class TestTelemetrySideChannel:
         assert main(["ledger", "show", str(bad)]) == 2
         assert "bad ledger record" in capsys.readouterr().err
 
+    def test_ledger_show_replays_a_retry_with_its_old_backoff_key(
+        self, tmp_path, capsys
+    ):
+        """Logs written while ``UnitRetried`` carried ``backoff_s`` replay."""
+        from repro.cli import main
+
+        ledger = tmp_path / "ledger.jsonl"
+        lines = [
+            {"event": "StudyStarted", "seq": 0, "total_units": 2,
+             "providers": 1, "vantage_points": 2, "workers": 1,
+             "resumed_units": 0},
+            {"event": "UnitRetried", "seq": 1, "unit_id": "u0",
+             "attempt": 1, "backoff_s": 0.0, "error": "RuntimeError('x')"},
+            {"event": "UnitFinished", "seq": 2, "unit_id": "u0",
+             "wall_ms": 10.0, "vantage_points": 1, "queue_depth": 1},
+            {"event": "UnitFinished", "seq": 3, "unit_id": "u1",
+             "wall_ms": 12.0, "vantage_points": 1, "queue_depth": 0},
+            {"event": "StudyFinished", "seq": 4, "wall_s": 0.5,
+             "completed": 2, "skipped": 0, "failed": 0, "retried": 1},
+        ]
+        ledger.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert main(["ledger", "show", str(ledger), "--json"]) == 0
+        top = json.loads(capsys.readouterr().out)
+        assert (top["completed"], top["total_units"]) == (2, 2)
+        assert top["retried"] == 1
+        assert top["finished"] is True
+
 
 # ----------------------------------------------------------------------
 # Serve: GET /jobs/{id}/top and watch --json

@@ -1,7 +1,7 @@
 """Observability subsystem tests (repro.obs).
 
-The contract under test: enabling tracing/metrics/flight-recording never
-perturbs the simulation (asserted against the golden fingerprint in
+The contract under test: enabling tracing/metrics never perturbs the
+simulation (asserted against the golden fingerprint in
 test_determinism.py), and the obs outputs themselves are deterministic —
 the same StudyConfig yields byte-identical JSONL traces on the sequential,
 thread-pool and process-pool backends, and identical merged metrics for
@@ -31,9 +31,7 @@ def _run_study(workers, backend, providers=OBS_PROVIDERS, **obs_kwargs):
         max_vantage_points=2,
         workers=workers,
         backend=backend,
-        obs=ObsConfig(
-            trace=True, metrics=True, flight_recorder=32, **obs_kwargs
-        ),
+        obs=ObsConfig(trace=True, metrics=True, **obs_kwargs),
     )
     executor.run()
     return executor
@@ -148,66 +146,6 @@ class TestTraceDeterminism:
         assert "trace records" in text
         assert "packets:" in text
         assert "ping_traceroute" in text
-
-
-# ----------------------------------------------------------------------
-# Flight recorder
-# ----------------------------------------------------------------------
-class TestFlightRecorder:
-    def test_ring_buffer_keeps_last_n_per_host(self):
-        from repro.obs.flight import FlightRecorder
-
-        recorder = FlightRecorder(capacity=3)
-        for i in range(5):
-            recorder.record("alpha", float(i), "delivered", "udp", "10.0.0.1")
-        recorder.record("beta", 9.0, "unreachable", "dns", "10.0.0.2")
-        events = recorder.snapshot()
-        alphas = [e for e in events if e["host"] == "alpha"]
-        assert [e["t_ms"] for e in alphas] == [2.0, 3.0, 4.0]
-        assert len([e for e in events if e["host"] == "beta"]) == 1
-
-    def test_invalid_capacity_rejected(self):
-        from repro.obs.flight import FlightRecorder
-
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
-
-    def test_dump_on_connect_retry_exhaustion(self):
-        """A flaky endpoint under a no-retry policy must dump the buffer."""
-        from repro.obs.config import ObsConfig
-        from repro.runtime.executor import StudyExecutor
-        from repro.runtime.retry import RetryPolicy
-        from repro.vpn.client import VpnClient
-
-        executor = StudyExecutor(
-            seed=2018,
-            providers=["Seed4.me", "PureVPN", "MyIP.io"],
-            max_vantage_points=2,
-            retry=RetryPolicy.no_retries(),
-            obs=ObsConfig(trace=True, metrics=True, flight_recorder=16),
-        )
-        # Giving up after the first connect attempt leaves the shared
-        # flaky-endpoint parity counters mid-cycle; restore them so later
-        # tests still see "first attempt fails, retry succeeds".
-        saved_attempts = dict(VpnClient._attempts)
-        try:
-            executor.run()
-        finally:
-            VpnClient._attempts.clear()
-            VpnClient._attempts.update(saved_attempts)
-        dumps = executor.flight_dumps
-        assert dumps, "expected at least one flight dump"
-        assert all(d["reason"] == "connect_exhausted" for d in dumps)
-        assert any(d["events"] for d in dumps)
-        # The dump also lands in the trace as an event.
-        dump_records = [
-            r
-            for r in executor.trace_records
-            if r["kind"] == "flight_dump"
-        ]
-        assert len(dump_records) == len(dumps)
-        snapshot = executor.metrics.snapshot()
-        assert snapshot["counters"]["flight.dumps"] == len(dumps)
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +282,7 @@ class TestObsConfig:
         session = ObsConfig(metrics=True).build(seed=1)
         assert session is not None
         assert session.metrics is not None
-        assert session.tracer is None and session.flight is None
+        assert session.tracer is None and session.profile is None
 
     def test_disabled_suite_has_no_obs_attached(self):
         from repro.api import build_study

@@ -357,7 +357,7 @@ class TestProfilerIntegration:
         }.items():
             snapshot = _profiled_study(
                 workers, backend, ["Seed4.me", "MyIP.io"],
-                trace=True, metrics=True, flight_recorder=32, profile=True,
+                trace=True, metrics=True, profile=True,
             )
             counts[label] = {
                 name: value

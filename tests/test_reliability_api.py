@@ -40,6 +40,31 @@ class TestFlakyEndpoints:
         assert client.current_vantage_point is flaky_vp
         client.disconnect()
 
+    def test_each_client_counts_its_own_attempts(self):
+        """Two worlds' connects to one flaky endpoint, interleaved.
+
+        Each world's first attempt fails and its retry connects, whatever
+        the other world did in between (A1, B1, A2, B2).
+        """
+        from repro.world import World
+
+        clients, endpoints = [], []
+        for _ in range(2):
+            world = World.build(provider_names=["PureVPN"])
+            provider = world.provider("PureVPN")
+            endpoints.append(
+                next(vp for vp in provider.vantage_points if vp.spec.flaky)
+            )
+            clients.append(VpnClient(world.client, provider))
+        assert endpoints[0].hostname == endpoints[1].hostname
+        for client, endpoint in zip(clients, endpoints):
+            with pytest.raises(TunnelConnectionError):
+                client.connect(endpoint)
+        for client, endpoint in zip(clients, endpoints):
+            client.connect(endpoint)
+            assert client.current_vantage_point is endpoint
+            client.disconnect()
+
     def test_reliable_endpoint_connects_first_time(self, world):
         provider = world.provider("Mullvad")
         vp = next(vp for vp in provider.vantage_points if not vp.spec.flaky)

@@ -1,6 +1,6 @@
 """Tests for repro.runtime — the parallel, checkpointable execution engine.
 
-Covers unit decomposition, the shared retry policy, the event bus and its
+Covers unit decomposition, the shared retry rule, the event bus and its
 subscribers, checkpoint persistence/resume, executor parity with a pinned
 reference archive, and the longitudinal scheduler.
 """
@@ -24,7 +24,7 @@ from repro.core.harness import TestSuite
 from repro.runtime import events as ev
 from repro.runtime.checkpoint import CheckpointMismatchError, CheckpointStore
 from repro.runtime.executor import StudyExecutor, StudyInterrupted
-from repro.runtime.retry import RetryPolicy, stable_hash
+from repro.runtime.retry import MAX_ATTEMPTS, stable_hash
 from repro.runtime.units import (
     AuditUnit,
     StudyPlan,
@@ -64,33 +64,8 @@ def fingerprint(study, root: pathlib.Path) -> str:
 
 
 class TestRetryPolicy:
-    def test_single_retry_allows_exactly_two_attempts(self):
-        policy = RetryPolicy.single_retry()
-        assert policy.should_retry(1)
-        assert not policy.should_retry(2)
-
-    def test_no_retries_never_retries(self):
-        policy = RetryPolicy.no_retries()
-        assert not policy.should_retry(1)
-
-    def test_backoff_is_deterministic_per_key_and_attempt(self):
-        policy = RetryPolicy(
-            max_attempts=4, backoff_base_s=1.0, backoff_factor=2.0,
-            jitter=0.25, seed=7,
-        )
-        assert policy.backoff_s(1, "k") == policy.backoff_s(1, "k")
-        assert policy.backoff_s(1, "k") != policy.backoff_s(1, "other")
-        assert policy.backoff_s(1, "k") != policy.backoff_s(2, "k")
-
-    def test_backoff_grows_exponentially_within_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=5, backoff_base_s=1.0, backoff_factor=2.0,
-            jitter=0.25, seed=3,
-        )
-        for attempt in (1, 2, 3):
-            nominal = 2.0 ** (attempt - 1)
-            delay = policy.backoff_s(attempt, "unit")
-            assert nominal * 0.75 <= delay <= nominal * 1.25
+    """The retry module's stable hash; the one-retry rule is exercised
+    where it is read, in the executor and the harness (below)."""
 
     def test_stable_hash_is_stable_and_input_sensitive(self):
         assert stable_hash("a", 1) == stable_hash("a", 1)
@@ -167,7 +142,7 @@ class TestEvents:
                 queue_depth=1, connect_retries=2,
             ),
             ev.UnitSkipped(unit_id="b", wall_ms=5.0),
-            ev.UnitRetried(unit_id="c", attempt=1, backoff_s=0.0, error="e"),
+            ev.UnitRetried(unit_id="c", attempt=1, error="e"),
             ev.UnitFailed(unit_id="c", attempts=2, error="e"),
             ev.StudyFinished(
                 wall_s=1.5, completed=1, skipped=1, failed=1, retried=1
@@ -407,7 +382,7 @@ class TestStudyExecutor:
         monkeypatch.setattr(TestSuite, "run_unit", flaky)
         executor = StudyExecutor(
             seed=2018, providers=["Mullvad"], max_vantage_points=1,
-            workers=1, retry=RetryPolicy.single_retry(),
+            workers=1,
         )
         report = executor.run()
         assert executor.stats.retried_units == 1
@@ -428,12 +403,16 @@ class TestStudyExecutor:
         bus.subscribe(events.append)
         executor = StudyExecutor(
             seed=2018, providers=["Mullvad"], max_vantage_points=1,
-            workers=1, retry=RetryPolicy.no_retries(), bus=bus,
+            workers=1, bus=bus,
         )
         report = executor.run()
         assert executor.stats.failed_units == 1
         failed = [e for e in events if isinstance(e, ev.UnitFailed)]
         assert len(failed) == 1
+        # One retry, then the unit fails: MAX_ATTEMPTS attempts in all.
+        assert failed[0].attempts == MAX_ATTEMPTS == 2
+        retried = [e for e in events if isinstance(e, ev.UnitRetried)]
+        assert [e.attempt for e in retried] == [1]
         sweep = next(
             u for u in executor.plan.units if u.kind is UnitKind.SWEEP
         )
@@ -443,7 +422,7 @@ class TestStudyExecutor:
 
 
 class TestLeakageRetry:
-    """The shared RetryPolicy also covers leakage-test tunnel errors."""
+    """The one-retry rule also covers leakage-test tunnel errors."""
 
     def _context(self):
         import types
@@ -453,7 +432,7 @@ class TestLeakageRetry:
     def test_transient_tunnel_error_is_retried(self, small_world):
         from repro.vpn.client import TunnelConnectionError
 
-        suite = TestSuite(small_world, retry_policy=RetryPolicy.single_retry())
+        suite = TestSuite(small_world)
         calls = {"n": 0}
 
         def run():
@@ -470,13 +449,17 @@ class TestLeakageRetry:
     def test_policy_exhaustion_propagates(self, small_world):
         from repro.vpn.client import TunnelConnectionError
 
-        suite = TestSuite(small_world, retry_policy=RetryPolicy.no_retries())
+        suite = TestSuite(small_world)
+        calls = {"n": 0}
 
         def run():
+            calls["n"] += 1
             raise TunnelConnectionError("tunnel stays down")
 
         with pytest.raises(TunnelConnectionError):
             suite._run_leakage_test(self._context(), run)
+        # One retry, then the error propagates: exactly two attempts.
+        assert calls["n"] == MAX_ATTEMPTS == 2
 
 
 class TestLongitudinalScheduler:

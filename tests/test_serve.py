@@ -317,6 +317,33 @@ class TestResultStore:
         (bad / "job.json").write_text("{half a record")
         assert store.load_records() == []
 
+    def test_a_write_torn_partway_leaves_the_previous_record(
+        self, tmp_path, monkeypatch
+    ):
+        """A daemon killed mid-write must not lose the job from its queue."""
+        import pathlib
+
+        from repro.serve.protocol import JobRecord, JobState
+        from repro.serve.store import ResultStore
+
+        store = ResultStore(tmp_path)
+        record = JobRecord(
+            job_id="job-00001-torn", request=_request(), state=JobState.QUEUED
+        )
+        store.save_record(record)
+        real_write_text = pathlib.Path.write_text
+
+        def write_half_then_die(path, text, *args, **kwargs):
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", write_half_then_die)
+        with pytest.raises(OSError, match="killed mid-write"):
+            store.save_record(record.advance(JobState.RUNNING))
+        monkeypatch.undo()
+        (reloaded,) = ResultStore(tmp_path).load_records()
+        assert reloaded == record
+
     def test_job_ids_monotonic_across_restarts(self, tmp_path):
         from repro.serve.store import ResultStore
 

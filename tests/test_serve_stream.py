@@ -65,8 +65,7 @@ class TestEventWire:
                            index=1, total=4),
             ev.UnitFinished(unit_id="u", wall_ms=12.5, vantage_points=2,
                             queue_depth=3, connect_retries=1),
-            ev.UnitRetried(unit_id="u", attempt=1, backoff_s=0.5,
-                           error="boom"),
+            ev.UnitRetried(unit_id="u", attempt=1, error="boom"),
             ev.UnitFailed(unit_id="u", attempts=3, error="boom"),
             ev.UnitSkipped(unit_id="u", wall_ms=9.0),
             ev.StudyFinished(wall_s=1.0, completed=4, skipped=0,

@@ -49,7 +49,7 @@ class TestStudyConfig:
             providers=["Seed4.me", "MyIP.io"],
             workers=2,
             checkpoint_dir="out/ck",
-            obs=ObsConfig(trace=True, metrics=True, flight_recorder=8),
+            obs=ObsConfig(trace=True, metrics=True),
         )
         data = to_jsonable(config)
         json.dumps(data)  # must be JSON-serialisable as-is
@@ -115,7 +115,6 @@ class TestPublicSurface:
             "Tracer",
             "MetricsRegistry",
             "ObsConfig",
-            "FlightRecorder",
         ):
             assert name in repro.__all__
             assert getattr(repro, name) is not None

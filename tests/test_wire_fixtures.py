@@ -5,12 +5,17 @@ by the hand-written encoders that preceded :mod:`repro.codec` (see the
 README there).  Each one must decode through today's code and re-encode
 to an equal document, so served reports, durable ``job.json`` records,
 ecosystem specs and event streams written before the codec still load.
-``plan.json`` is held to more: its re-encoded text must be byte-equal
-and its fingerprint unchanged, so older checkpoints still resume.
+The one exception is a key a later change dropped from a wire form:
+:data:`DROPPED_KEYS` names each one, and the document must re-encode to
+itself minus exactly those keys.  ``plan.json`` is held to more: its
+re-encoded text must be byte-equal and its fingerprint unchanged, so
+older checkpoints still resume.
 """
 
+import copy
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -18,9 +23,69 @@ from repro.codec import CodecError, from_jsonable, to_jsonable
 
 WIRE = pathlib.Path(__file__).parent / "fixtures" / "wire"
 
+# The change that dropped each group of keys.
+_UNSET_SETTINGS = (
+    "settings nothing set were retired: the flight recorder, "
+    "ObsConfig.trace_packets, the retry backoff and the serve poll interval"
+)
+
+#: fixture -> {dotted path of a key a later change dropped: that change}.
+#: The fixtures stay exactly as written; each still decodes, re-encodes to
+#: itself minus exactly these keys, and holds every key listed here.
+DROPPED_KEYS = {
+    "study_config.json": {
+        "obs.flight_recorder": _UNSET_SETTINGS,
+        "obs.trace_packets": _UNSET_SETTINGS,
+    },
+    "job_request.json": {
+        "config.obs.flight_recorder": _UNSET_SETTINGS,
+        "config.obs.trace_packets": _UNSET_SETTINGS,
+    },
+    "job.json": {
+        "request.config.obs.flight_recorder": _UNSET_SETTINGS,
+        "request.config.obs.trace_packets": _UNSET_SETTINGS,
+    },
+    "job_record_failed.json": {
+        "request.config.obs.flight_recorder": _UNSET_SETTINGS,
+        "request.config.obs.trace_packets": _UNSET_SETTINGS,
+    },
+    "job_status_reply.json": {
+        "job.request.config.obs.flight_recorder": _UNSET_SETTINGS,
+        "job.request.config.obs.trace_packets": _UNSET_SETTINGS,
+    },
+    "serve_config.json": {"poll_interval_s": _UNSET_SETTINGS},
+    # The UnitRetried record.
+    "events.json": {"[3].backoff_s": _UNSET_SETTINGS},
+}
+
 
 def _load(name):
     return json.loads((WIRE / name).read_text())
+
+
+def _segments(path):
+    """``"a.b[3].c"`` -> ``["a", "b", 3, "c"]``."""
+    return [
+        int(index) if index else key
+        for index, key in re.findall(r"\[(\d+)\]|([^.\[\]]+)", path)
+    ]
+
+
+def _parent(document, path):
+    """The object that holds *path*'s last key, and that key."""
+    *parents, last = _segments(path)
+    for segment in parents:
+        document = document[segment]
+    return document, last
+
+
+def _without_dropped(name, document):
+    """*document* minus the keys :data:`DROPPED_KEYS` lists for *name*."""
+    document = copy.deepcopy(document)
+    for path in DROPPED_KEYS.get(name, {}):
+        parent, key = _parent(document, path)
+        del parent[key]
+    return document
 
 
 def _codec_pair(cls):
@@ -76,7 +141,17 @@ def _cases():
 def test_wire_fixture_round_trips(name):
     decode, encode = _cases()[name]
     data = _load(name)
-    assert encode(decode(data)) == data
+    assert encode(decode(data)) == _without_dropped(name, data)
+
+
+@pytest.mark.parametrize(
+    "name,path",
+    [(name, path) for name, paths in DROPPED_KEYS.items() for path in paths],
+)
+def test_every_dropped_key_is_in_its_fixture(name, path):
+    """The table cannot go stale: each key it lists is still pinned."""
+    parent, key = _parent(_load(name), path)
+    assert key in parent
 
 
 def test_study_report_fixture_keeps_evidence_and_verdicts():
@@ -91,20 +166,42 @@ def test_study_report_fixture_keeps_evidence_and_verdicts():
 
 
 def test_job_request_fixture_keeps_its_dedup_fingerprint():
-    from repro.serve.protocol import JobRecord
+    """A stored job still dedups against the same work submitted now.
+
+    The fingerprint hashes the config's encoding, so dropping config keys
+    moves it: the id minted when ``job.json`` was written no longer ends
+    with it.  Dedup recomputes fingerprints from decoded records, so what
+    it needs is that the decoded request and the same request built today
+    fingerprint equal.
+    """
+    from repro.config import StudyConfig
+    from repro.obs.config import ObsConfig
+    from repro.serve.protocol import JobKind, JobRecord, JobRequest
 
     record = JobRecord.from_dict(_load("job.json"))
-    # The job id was minted from the request fingerprint when written.
-    assert record.job_id.endswith(record.request.fingerprint()[:8])
+    now = JobRequest(
+        kind=JobKind.STUDY,
+        config=StudyConfig(
+            seed=2018,
+            providers=("Seed4.me", "PureVPN"),
+            max_vantage_points=2,
+            obs=ObsConfig(trace=True),
+        ),
+        priority=3,
+        label="nightly",
+    )
+    assert record.request == now
+    assert record.request.fingerprint() == now.fingerprint()
 
 
 def test_event_fixtures_round_trip():
     from repro.runtime.events import event_from_dict, event_to_dict
 
-    for data in _load("events.json"):
+    expected = _without_dropped("events.json", _load("events.json"))
+    for data, want in zip(_load("events.json"), expected):
         event = event_from_dict(data)
         assert event is not None, data["event"]
-        assert event_to_dict(event) == data
+        assert event_to_dict(event) == want
 
 
 def test_ecosystem_spec_fixture_reads_and_rewrites_bytes(tmp_path):
